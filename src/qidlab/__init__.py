@@ -3,9 +3,8 @@ probability laws with certified total-variation error, spectral-pair
 extraction for lattice laws, and desk-scale demonstrations of the
 non-approximability phenomena for non-lattice discrete laws."""
 
-from .charfn import (CharFn, LogBranch, ZeroFreeCertificate, cf_eval,
-                     decay_window, distinguished_log, imag_zero_scan,
-                     min_modulus_scan)
+from .charfn import (CharFn, LogBranch, ZeroFreeCertificate, decay_window,
+                     distinguished_log, imag_zero_scan, min_modulus_scan)
 from .dist import (Atom, DensityLaw, DiscreteLaw, Law, SupportInfo,
                    continuous_bernoulli, convolve, density_from_callable,
                    is_shift_symmetric, l1_modulus, law_from_atoms,
@@ -32,7 +31,7 @@ __all__ = [
     "density_from_callable", "continuous_bernoulli", "support_info",
     "is_shift_symmetric", "mix", "convolve", "shift_scale", "tv_distance",
     "l1_modulus", "mass_on_interval", "restrict_density",
-    "CharFn", "ZeroFreeCertificate", "LogBranch", "cf_eval",
+    "CharFn", "ZeroFreeCertificate", "LogBranch",
     "min_modulus_scan", "decay_window", "imag_zero_scan", "distinguished_log",
     "DeltaSelection", "bad_delta_set", "select_delta",
     "ApproxResult", "truncate_density", "truncate_lattice",

@@ -14,14 +14,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import config
 from .dist import Law
 from .errors import (BranchTrackingError, IdenticallyZeroImagError, InputError,
                      LawShapeError, WindowError, ZeroOnPathError)
 
-_CHUNK = 1 << 15
+# Complex entries allowed in one dense exp(i*t*x) product: blocks of t
+# values get BLOCK_ENTRIES // (atoms + nodes) rows, so memory stays
+# bounded however many points a batched polish asks for at once.
+BLOCK_ENTRIES = 1 << 20
+
+# Golden-ratio conjugate as scipy's golden-section search uses it.
+_GOLDEN = 0.61803399
 
 
 @dataclass(frozen=True)
@@ -62,9 +67,12 @@ class CharFn:
     def __init__(self, law: Law):
         self.law = law
         self._w = law.discrete_weight
+        # atoms + nodes: the columns of one block's dense products
+        self._width = 0
         if law.discrete is not None:
             self._locs = law.discrete.locations
             self._masses = law.discrete.masses
+            self._width += self._locs.size
         else:
             self._locs = self._masses = None
         if law.continuous is not None:
@@ -72,36 +80,44 @@ class CharFn:
             self._nodes = d.nodes
             self._node_w = d.grid_step * d.samples
             self._h = d.grid_step
+            self._width += self._nodes.size
         else:
             self._nodes = None
         self._profile: tuple[float, np.ndarray, np.ndarray, float] | None = None
 
+    def _blocked(self, t: np.ndarray, part) -> np.ndarray:
+        """part(block) over consecutive blocks of the 1-D array t, each
+        small enough that its dense products fit BLOCK_ENTRIES."""
+        rows = max(1, BLOCK_ENTRIES // self._width)
+        out = np.empty(t.shape, dtype=complex)
+        for lo in range(0, t.size, rows):
+            out[lo:lo + rows] = part(t[lo:lo + rows])
+        return out
+
+    def _atom_sum(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(1j * np.outer(t, self._locs)) @ self._masses
+
+    def _node_sum(self, t: np.ndarray) -> np.ndarray:
+        kernel = np.sinc(t * self._h / (2.0 * np.pi)) ** 2
+        return kernel * (np.exp(1j * np.outer(t, self._nodes)) @ self._node_w)
+
+    def _mixed_sum(self, t: np.ndarray) -> np.ndarray:
+        acc = np.zeros(t.shape, dtype=complex)
+        if self._locs is not None:
+            acc += self._w * self._atom_sum(t)
+        if self._nodes is not None:
+            acc += (1.0 - self._w) * self._node_sum(t)
+        return acc
+
     def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t_arr.shape, dtype=complex)
-        for lo in range(0, t_arr.size, _CHUNK):
-            tc = t_arr[lo:lo + _CHUNK]
-            acc = np.zeros(tc.shape, dtype=complex)
-            if self._locs is not None:
-                acc += self._w * (np.exp(1j * np.outer(tc, self._locs)) @ self._masses)
-            if self._nodes is not None:
-                kernel = np.sinc(tc * self._h / (2.0 * np.pi)) ** 2
-                acc += (1.0 - self._w) * kernel * (
-                    np.exp(1j * np.outer(tc, self._nodes)) @ self._node_w)
-            out[lo:lo + _CHUNK] = acc
+        out = self._blocked(np.atleast_1d(np.asarray(t, dtype=float)), self._mixed_sum)
         return out if np.ndim(t) else complex(out[0])
 
     def continuous_part(self, t):
         """Normalized CF of the continuous part alone (own mass 1)."""
         if self._nodes is None:
             raise LawShapeError("law has no density part")
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t_arr.shape, dtype=complex)
-        for lo in range(0, t_arr.size, _CHUNK):
-            tc = t_arr[lo:lo + _CHUNK]
-            kernel = np.sinc(tc * self._h / (2.0 * np.pi)) ** 2
-            out[lo:lo + _CHUNK] = kernel * (
-                np.exp(1j * np.outer(tc, self._nodes)) @ self._node_w)
+        out = self._blocked(np.atleast_1d(np.asarray(t, dtype=float)), self._node_sum)
         return out if np.ndim(t) else complex(out[0])
 
     def eval_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
@@ -115,7 +131,7 @@ class CharFn:
         ts = t0 + dt * np.arange(n)
         out = np.zeros(n, dtype=complex)
         if self._locs is not None:
-            out += self._w * (np.exp(1j * np.outer(ts, self._locs)) @ self._masses)
+            out += self._w * self._blocked(ts, self._atom_sum)
         if self._nodes is not None:
             from scipy.signal import czt
             h = self._h
@@ -150,27 +166,58 @@ class CharFn:
         return self._profile[1:]
 
 
-def cf_eval(f: CharFn, t):
-    """Functional form of CharFn evaluation (exact finite sums)."""
-    return f(t)
+def golden_polish(fn, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search over many brackets at once.
 
-
-def _refine_minimum(fabs, a: float, b: float, c: float, fb: float) -> tuple[float, float]:
-    """Golden-section polish of a bracketed local minimum of fabs."""
-    try:
-        res = minimize_scalar(fabs, bracket=(a, b, c), method="golden",
-                              options={"xtol": config.REFINE_XTOL})
-        if res.fun < fb:
-            return float(res.x), float(res.fun)
-    except Exception:
-        pass
-    return b, fb
+    fn maps an array of abscissae to an array of values; each step
+    makes one call on all brackets still open. Bracket k is
+    a[k] < b[k] < c[k] with fn(b) below both ends (checked on fresh
+    values; a bracket failing it returns (b, fn(b))). A bracket stops
+    by scipy's relative rule |x3 - x0| <= REFINE_XTOL * (|x1| + |x2|)
+    or once it no longer shrinks in floating point. Returns the best
+    abscissa and value per bracket, each value an actual evaluation of
+    fn.
+    """
+    a, b, c = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c))
+    gc = 1.0 - _GOLDEN
+    right = np.abs(c - b) > np.abs(b - a)
+    x_new = np.where(right, b + gc * (c - b), b - gc * (b - a))
+    fa, fb, fc, f_new = np.split(np.asarray(fn(np.concatenate((a, b, c, x_new)))), 4)
+    ok = (fb < fa) & (fb < fc)
+    x0, x3 = a.copy(), c.copy()
+    x1, x2 = np.where(right, b, x_new), np.where(right, x_new, b)
+    f1, f2 = np.where(right, fb, f_new), np.where(right, f_new, fb)
+    width = np.full(a.size, np.inf)
+    live = np.nonzero(ok)[0]
+    # at most ~60 steps shrink a grid bracket to REFINE_XTOL; the cap only
+    # guards brackets stuck on the float grid near x = 0
+    for _ in range(200):
+        w = x3[live] - x0[live]
+        keep = (w > config.REFINE_XTOL * (np.abs(x1[live]) + np.abs(x2[live]))) & (w < width[live])
+        live, w = live[keep], w[keep]
+        if live.size == 0:
+            break
+        width[live] = w
+        down = f2[live] < f1[live]
+        lo, hi = live[down], live[~down]
+        x0[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
+        x2[lo] = _GOLDEN * x1[lo] + gc * x3[lo]
+        x3[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
+        x1[hi] = _GOLDEN * x2[hi] + gc * x0[hi]
+        f_step = np.asarray(fn(np.concatenate((x2[lo], x1[hi]))))
+        f2[lo], f1[hi] = f_step[:lo.size], f_step[lo.size:]
+    first = f1 < f2
+    x_best = np.where(ok, np.where(first, x1, x2), b)
+    f_best = np.where(ok, np.where(first, f1, f2), fb)
+    return x_best, f_best
 
 
 def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> ZeroFreeCertificate:
     """Scan |f| on a uniform grid over [-T, T]; optionally polish the
-    lowest local minima by golden section. The certificate records the
-    smallest modulus seen and where.
+    config.REFINE_TOP lowest local minima together by batched golden
+    section (golden_polish, one CF call per step for all of them). The
+    certificate records the smallest modulus seen, grid or polished,
+    and where; it is never above the grid minimum.
 
     Characteristic functions of real laws satisfy f(-t) = conj(f(t)),
     so the grid work runs on [0, T] and covers the stated window.
@@ -183,15 +230,16 @@ def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> Z
     i_min = int(np.argmin(mods))
     best_t, best_v = float(ts[i_min]), float(mods[i_min])
     if refine:
-        fabs = lambda t: float(abs(f(float(t))))
         interior = np.arange(1, ts.size - 1)
         is_loc = (mods[interior] <= mods[interior - 1]) & (mods[interior] <= mods[interior + 1])
         cand = interior[is_loc]
         cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
-        for i in cand:
-            t_r, v_r = _refine_minimum(fabs, ts[i - 1], ts[i], ts[i + 1], mods[i])
-            if v_r < best_v:
-                best_t, best_v = t_r, v_r
+        if cand.size:
+            t_r, v_r = golden_polish(lambda t: np.abs(f(t)),
+                                     ts[cand - 1], ts[cand], ts[cand + 1])
+            k = int(np.argmin(v_r))
+            if v_r[k] < best_v:
+                best_t, best_v = float(t_r[k]), float(v_r[k])
     return ZeroFreeCertificate(window_T=float(n * step), grid_step=step,
                                min_modulus=best_v, argmin_t=best_t)
 
@@ -221,14 +269,19 @@ def decay_window(f: CharFn, threshold: float, t_max: float = config.DECAY_TMAX) 
 def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
     """Refined roots of Im(f0(t) e^{-it*gamma0}) in [-T, T].
 
-    Sign changes on the grid are polished by bisection. Raises
-    IdenticallyZeroImagError when the imaginary part vanishes on the
-    whole grid (recentered symmetric law), since every t would be a
+    Grid values at rounding level count as roots; sign changes on the
+    grid are polished by bisection, all brackets together: one CF call
+    on the left ends, then one per step on the midpoints of the
+    brackets still open. A bracket closes when its midpoint value is 0
+    or its width drops below config.REFINE_XTOL (at most 80 steps); its
+    midpoint is kept when |Im| there is within 1e-7 of the grid scale.
+    Raises IdenticallyZeroImagError when the imaginary part vanishes on
+    the whole grid (recentered symmetric law), since every t would be a
     root.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
-    g = lambda t: np.imag(f0(t) * np.exp(-1j * gamma0 * np.asarray(t, dtype=float)))
+    g = lambda t: np.imag(f0(t) * np.exp(-1j * gamma0 * t))
     n = int(math.ceil(T / step))
     ts = step * np.arange(-n, n + 1)
     vals = np.imag(f0.eval_grid(-n * step, step, 2 * n + 1) * np.exp(-1j * gamma0 * ts))
@@ -239,26 +292,28 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[flo
     # grid values at float-noise level are roots themselves and must not
     # seed sign-change brackets (their sign is meaningless)
     zero_tol = 1e-12 * scale
-    roots: list[float] = []
     sign = np.sign(vals)
     sign[np.abs(vals) <= zero_tol] = 0
-    roots.extend(float(ts[i]) for i in np.nonzero(sign == 0)[0])
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa = float(g(a))
+    roots = ts[sign == 0].tolist()
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if idx.size:
+        a, b = ts[idx], ts[idx + 1]
+        fa = g(a)
+        live = np.arange(idx.size)
         for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(g(m))
-            if fm == 0.0 or (b - a) < config.REFINE_XTOL:
-                a = b = m
+            if live.size == 0:
                 break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
+            m = 0.5 * (a[live] + b[live])
+            fm = g(m)
+            done = (fm == 0.0) | ((b[live] - a[live]) < config.REFINE_XTOL)
+            left = ~done & ((fa[live] < 0) == (fm < 0))
+            right = ~done & ~left
+            a[live[done]] = b[live[done]] = m[done]
+            a[live[left]], fa[live[left]] = m[left], fm[left]
+            b[live[right]] = m[right]
+            live = live[~done]
         r = 0.5 * (a + b)
-        if abs(float(g(r))) <= 1e-7 * scale:
-            roots.append(r)
+        roots.extend(r[np.abs(g(r)) <= 1e-7 * scale].tolist())
     roots.sort()
     out: list[float] = []
     for r in roots:

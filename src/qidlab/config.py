@@ -34,7 +34,9 @@ LATTICE_REL_TOL = 1e-9
 LOG_MODULUS_FLOOR = 1e-6
 MAX_BRANCH_HALVINGS = 16
 
-# Local refinement of scan minima/roots.
+# Local refinement of scan minima/roots. REFINE_XTOL is absolute for the
+# root bisection (bracket width) and relative for the golden-section
+# polish of minima (bracket width against |t|).
 REFINE_XTOL = 1e-12
 REFINE_TOP = 5
 

@@ -36,6 +36,8 @@ class Atom:
     mass: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.location) and math.isfinite(self.mass)):
+            raise InputError(f"atom must be finite, got ({self.location}, {self.mass})")
         if not (self.mass > 0.0):
             raise InputError(f"atom mass must be positive, got {self.mass}")
         if self.mass > 1.0 + config.DISCRETE_MASS_TOL:
@@ -117,10 +119,14 @@ class DensityLaw:
         samples = np.asarray(self.samples, dtype=float)
         if self.quadrature_rule != "trapezoid":
             raise InputError(f"unsupported quadrature rule {self.quadrature_rule!r}")
+        if not (math.isfinite(self.grid_origin) and math.isfinite(self.grid_step)):
+            raise InputError("grid_origin and grid_step must be finite")
         if not (self.grid_step > 0):
             raise InputError("grid_step must be positive")
         if samples.ndim != 1 or samples.size < 3:
             raise InputError("samples must be a 1-D array with >= 3 entries")
+        if not np.all(np.isfinite(samples)):
+            raise InputError("density samples must be finite")
         if np.any(samples < -1e-13):
             raise InputError("density samples must be nonnegative")
         samples = np.maximum(samples, 0.0)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
+from .charfn import golden_polish
 from .errors import InputError
 
 _CHUNK = 1 << 20
@@ -120,19 +121,9 @@ def kutlu_zero_scan(step: float, detect_below: float = 0.05) -> KutluScan:
 
 def _refine_dip(alpha: float, t: float, step: float) -> tuple[float, float]:
     """Golden polish of |three_point_cf| around a grid minimum."""
-    fabs = lambda x: float(abs(three_point_cf(alpha, float(x))))
-    a, b, c = max(t - step, 0.0), t, t + step
-    fb = fabs(b)
-    if not (fabs(a) > fb < fabs(c)):
-        return t, fb
-    try:
-        res = minimize_scalar(fabs, bracket=(a, b, c), method="golden",
-                              options={"xtol": 1e-12})
-        if res.fun < fb:
-            return float(res.x), float(res.fun)
-    except Exception:
-        pass
-    return b, fb
+    x, v = golden_polish(lambda x: np.abs(three_point_cf(alpha, x)),
+                         max(t - step, 0.0), t, t + step)
+    return float(x[0]), float(v[0])
 
 
 def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:

@@ -120,13 +120,10 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
     Returns the deduplicated sorted list over roots found in [-T, T].
     """
     _check_center_precondition(f0.law, gamma0)
-    roots = imag_zero_scan(f0, gamma0, T, step)
-    bad: list[float] = []
-    for t in roots:
-        re = (f0(t) * np.exp(-1j * gamma0 * t)).real
-        if re < -1e-15:
-            bad.append(float(-re / (1.0 - re)))
-    bad.sort()
+    roots = np.array(imag_zero_scan(f0, gamma0, T, step))
+    re = (f0(roots) * np.exp(-1j * gamma0 * roots)).real
+    re = re[re < -1e-15]
+    bad = sorted((-re / (1.0 - re)).tolist())
     out: list[float] = []
     for d in bad:
         if not out or d - out[-1] > 1e-12:

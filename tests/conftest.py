@@ -43,3 +43,16 @@ def geometric_law(kmax: int = 60):
     ms = 0.5 ** ks
     ms[-1] += 1.0 - ms.sum()
     return law_from_atoms(list(zip(ks.astype(float), ms)))
+
+
+def heavy_lattice_law(n: int = 160, seed: int = 5):
+    """Atoms on 0.3 + 1.1*{0..n-1}: a heavy atom (mass 0.7) in the middle
+    of a smoothed random profile. Im(f e^{-it*0.3}) has hundreds of roots
+    per period."""
+    rng = np.random.default_rng(seed)
+    prof = np.convolve(rng.gamma(2.0, size=n), np.ones(9) / 9.0, mode="same") + 0.05
+    masses = 0.3 * prof / prof.sum()
+    masses[n // 2] += 0.7
+    masses /= masses.sum()
+    return law_from_atoms([(0.3 + 1.1 * k, float(m)) for k, m in enumerate(masses)],
+                          normalize=True)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
-                           min_modulus_scan)
+from qidlab import charfn
+from qidlab.charfn import (CharFn, decay_window, distinguished_log, golden_polish,
+                           imag_zero_scan, min_modulus_scan)
 from qidlab.dist import (continuous_bernoulli, convolve, mix, point_mass,
                          uniform_density)
 from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                            WindowError, ZeroOnPathError)
-from conftest import poisson_law
+from conftest import heavy_lattice_law, poisson_law
 
 
 class TestEval:
@@ -41,10 +42,31 @@ class TestEval:
         direct = f(-3.0 + 0.0173 * np.arange(400))
         assert np.max(np.abs(grid - direct)) < 1e-11
 
-    def test_cf_eval_functional_form(self, fair_bernoulli):
-        from qidlab.charfn import cf_eval
-        f = CharFn(fair_bernoulli)
-        assert cf_eval(f, 0.7) == f(0.7)
+    def test_tiny_block_budget_agrees(self, monkeypatch, skewed_two_atom, truncated_normal):
+        law = mix(0.3, skewed_two_atom, truncated_normal)
+        ts = np.linspace(-25.0, 25.0, 1201)
+        f = CharFn(law)
+        ref = (f(ts), f.continuous_part(ts), f.eval_grid(-25.0, 0.05, 1001))
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 7)
+        got = (f(ts), f.continuous_part(ts), f.eval_grid(-25.0, 0.05, 1001))
+        for a, b in zip(ref, got):
+            assert np.max(np.abs(a - b)) < 1e-13
+
+    def test_dense_blocks_within_budget(self, monkeypatch, skewed_two_atom, truncated_normal):
+        law = mix(0.3, skewed_two_atom, truncated_normal)
+        f = CharFn(law)
+        width = 2 + law.continuous.samples.size
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 3 * width)
+        rows = []
+        for name in ("_atom_sum", "_node_sum"):
+            part = getattr(f, name)
+            monkeypatch.setattr(f, name, lambda t, part=part: rows.append(t.size) or part(t))
+        ts = np.linspace(-5.0, 5.0, 100)
+        f(ts)
+        f.continuous_part(ts)
+        f.eval_grid(-5.0, 0.1, 100)
+        # __call__ evaluates both parts, continuous_part and eval_grid one each
+        assert sum(rows) == 4 * ts.size and max(rows) <= 3
 
     def test_multiplicativity_discrete(self, fair_bernoulli, skewed_two_atom):
         out = convolve(fair_bernoulli, skewed_two_atom)
@@ -95,6 +117,36 @@ class TestMinModulusScan:
         with pytest.raises(InputError):
             min_modulus_scan(CharFn(fair_bernoulli), -1.0, 0.1)
 
+    def test_certificate_never_above_grid_minimum(self, skewed_two_atom, uniform01):
+        for law in (skewed_two_atom, uniform01, mix(0.3, skewed_two_atom, uniform01),
+                    heavy_lattice_law()):
+            f = CharFn(law)
+            cert = min_modulus_scan(f, 12.0, 0.03, refine=True)
+            grid = np.abs(f.eval_grid(0.0, 0.03, int(math.ceil(12.0 / 0.03)) + 1))
+            assert cert.min_modulus <= grid.min()
+
+
+class TestGoldenPolish:
+    def test_known_minima_in_one_batch(self):
+        # a V-shaped minimum, as |f| has at a real zero of f
+        fn = lambda x: np.abs(np.sin(x - 0.3))
+        want = 0.3 + math.pi * np.arange(1, 4)
+        x, v = golden_polish(fn, want - 0.4, want + 0.05, want + 0.3)
+        assert np.max(np.abs(x - want)) < 1e-10
+        assert np.array_equal(v, fn(x))
+
+    def test_one_call_per_step(self):
+        calls = []
+        fn = lambda x: calls.append(np.size(x)) or (x - 1.0) ** 2
+        golden_polish(fn, np.array([0.0, 0.5]), np.array([0.9, 0.95]), np.array([2.0, 1.5]))
+        assert calls[0] == 8 and max(calls[1:]) <= 2 and len(calls) < 80
+
+    def test_non_bracket_returns_middle(self):
+        fn = lambda x: (x - 5.0) ** 2
+        x, v = golden_polish(fn, [0.0, 4.0], [1.0, 4.9], [2.0, 6.0])
+        assert x[0] == 1.0 and v[0] == 16.0
+        assert abs(x[1] - 5.0) < 1e-10
+
 
 class TestDecayWindow:
     def test_requires_density(self, fair_bernoulli):
@@ -127,6 +179,16 @@ class TestImagZeroScan:
         roots = imag_zero_scan(CharFn(skewed_two_atom), 0.0, 7.0, 0.05)
         for r in roots:
             assert abs(r / math.pi - round(r / math.pi)) < 1e-9
+
+    def test_batched_bisection_call_count(self, monkeypatch):
+        f = CharFn(heavy_lattice_law())
+        calls = []
+        orig = CharFn.__call__
+        monkeypatch.setattr(CharFn, "__call__",
+                            lambda self, t: calls.append(np.size(t)) or orig(self, t))
+        roots = imag_zero_scan(f, 0.3, 2.0 * math.pi / 1.1, 0.0022)
+        assert len(roots) > 100
+        assert len(calls) <= 82
 
     def test_symmetric_recentered_is_flagged(self, fair_bernoulli):
         with pytest.raises(IdenticallyZeroImagError):

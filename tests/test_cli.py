@@ -111,6 +111,12 @@ class TestCommands:
         assert float(value) == pytest.approx(1.0, abs=1e-15)
         assert float(bound) == 0.0
 
+    def test_tv_rejects_nan_atom(self, fair_path, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"discrete_weight": 1, "atoms": [[NaN, 0.5], [1, 0.5]]}')
+        assert main(["tv", str(bad), fair_path]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_kutlu_scan_csv(self, tmp_path):
         out = tmp_path / "kutlu.csv"
         assert main(["kutlu-scan", "--step", "0.02", "--out", str(out)]) == 0

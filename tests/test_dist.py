@@ -31,6 +31,22 @@ class TestTypes:
         with pytest.raises(InputError):
             DensityLaw(0.0, -0.1, np.array([0.0, 10.0, 0.0]))
 
+    @pytest.mark.parametrize("pairs", [[(math.nan, 0.5), (1.0, 0.5)],
+                                       [(0.0, 0.5), (math.inf, 0.5)]])
+    def test_atoms_must_be_finite(self, pairs):
+        with pytest.raises(InputError):
+            DiscreteLaw(tuple(Atom(x, m) for x, m in pairs))
+        with pytest.raises(InputError):
+            law_from_atoms(pairs)
+
+    @pytest.mark.parametrize("origin, samples", [
+        (0.0, [0.0, math.nan, 2.0, 0.0]),
+        (math.nan, [0.0, 2.0, 0.0]),
+    ])
+    def test_density_must_be_finite(self, origin, samples):
+        with pytest.raises(InputError):
+            DensityLaw(origin, 0.5, np.array(samples))
+
     def test_law_shape_constraints(self):
         d = DiscreteLaw((Atom(0.0, 1.0),))
         with pytest.raises(InputError):

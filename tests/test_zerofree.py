@@ -3,10 +3,52 @@ import math
 import numpy as np
 import pytest
 
+from qidlab import config
 from qidlab.charfn import CharFn
 from qidlab.dist import law_from_atoms, mix, point_mass
 from qidlab.errors import InputError
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
+from conftest import heavy_lattice_law
+
+
+def scalar_bad_delta_set(f0, gamma0, T, step):
+    """Reference: bisect each sign-change bracket alone with scalar CF
+    calls, then map each root with Re < 0 to its bad weight."""
+    g = lambda t: float(np.imag(f0(t) * np.exp(-1j * gamma0 * t)))
+    n = int(math.ceil(T / step))
+    ts = step * np.arange(-n, n + 1)
+    vals = np.array([g(float(t)) for t in ts])
+    scale = float(np.max(np.abs(vals)))
+    sign = np.sign(vals)
+    sign[np.abs(vals) <= 1e-12 * scale] = 0
+    roots = [float(t) for t in ts[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        a, b = float(ts[i]), float(ts[i + 1])
+        fa = g(a)
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            fm = g(m)
+            if fm == 0.0 or (b - a) < config.REFINE_XTOL:
+                a = b = m
+                break
+            if (fa < 0) == (fm < 0):
+                a, fa = m, fm
+            else:
+                b = m
+        r = 0.5 * (a + b)
+        if abs(g(r)) <= 1e-7 * scale:
+            roots.append(r)
+    bad = []
+    for t in roots:
+        re = (f0(t) * np.exp(-1j * gamma0 * t)).real
+        if re < -1e-15:
+            bad.append(-re / (1.0 - re))
+    bad.sort()
+    out = []
+    for d in bad:
+        if not out or d - out[-1] > 1e-12:
+            out.append(d)
+    return out
 
 
 class TestBadDeltaSet:
@@ -30,6 +72,19 @@ class TestBadDeltaSet:
             f = CharFn(law)
             for d in bad_delta_set(f, gamma, 2 * math.pi, _root_scan_step(law, gamma)):
                 assert 0.0 < d < 1.0
+
+    def test_batched_matches_scalar_reference(self, skewed_two_atom, truncated_normal):
+        heavy = heavy_lattice_law()
+        cases = [(skewed_two_atom, 0.0, 7.0),
+                 (heavy, 0.3, 2.0 * math.pi / 1.1),
+                 (mix(0.4, skewed_two_atom, truncated_normal), 0.0, 12.0)]
+        for law, gamma, T in cases:
+            f = CharFn(law)
+            step = _root_scan_step(law, gamma)
+            got = bad_delta_set(f, gamma, T, step)
+            want = scalar_bad_delta_set(f, gamma, T, step)
+            assert len(got) == len(want) > 0
+            assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
     def test_symmetric_center_precondition(self, fair_bernoulli):
         with pytest.raises(InputError):
