@@ -68,17 +68,13 @@ class RunConfig:
     """CLI-level configuration, loadable from the file named by the
     QIDLAB_CONFIG environment variable."""
 
-    grid_cells: int = DEFAULT_CELLS
     scan_window: float = 64.0
     scan_step: float = 0.01
-    refine_tol: float = REFINE_XTOL
     q_default: float = 0.4
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.grid_cells <= 0:
-            raise ValueError("grid_cells must be positive")
-        for name in ("scan_window", "scan_step", "refine_tol", "q_default"):
+        for name in ("scan_window", "scan_step", "q_default"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

@@ -13,7 +13,7 @@ evaluated exactly, cell by cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -46,29 +46,32 @@ class Atom:
 
 @dataclass(frozen=True)
 class DiscreteLaw:
-    """Finitely many atoms, sorted strictly by location, total mass 1."""
+    """Finitely many atoms, sorted strictly by location, total mass 1.
+
+    ``locations`` and ``masses`` are read-only arrays built from the
+    atoms once.
+    """
 
     atoms: tuple[Atom, ...]
+    locations: np.ndarray = field(init=False, repr=False, compare=False)
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(self.atoms)
         if not atoms:
             raise InputError("discrete law needs at least one atom")
-        locs = [a.location for a in atoms]
-        if any(b - a <= config.ATOM_MERGE_TOL for a, b in zip(locs, locs[1:])):
+        locs = np.array([a.location for a in atoms])
+        masses = np.array([a.mass for a in atoms])
+        if np.any(np.diff(locs) <= config.ATOM_MERGE_TOL):
             raise InputError("atom locations must be sorted and separated")
-        total = math.fsum(a.mass for a in atoms)
+        total = math.fsum(masses)
         if abs(total - 1.0) > config.DISCRETE_MASS_TOL * max(1, len(atoms)):
             raise InputError(f"atom masses must sum to 1, got {total!r}")
+        locs.setflags(write=False)
+        masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
-
-    @property
-    def locations(self) -> np.ndarray:
-        return np.array([a.location for a in self.atoms])
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([a.mass for a in self.atoms])
+        object.__setattr__(self, "locations", locs)
+        object.__setattr__(self, "masses", masses)
 
     def lattice_params(self, rel_tol: float = config.LATTICE_REL_TOL) -> tuple[float, float]:
         """Fit the support into a lattice a + b*Z and return (a, b).
@@ -113,12 +116,9 @@ class DensityLaw:
     grid_origin: float
     grid_step: float
     samples: np.ndarray
-    quadrature_rule: str = "trapezoid"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
-        if self.quadrature_rule != "trapezoid":
-            raise InputError(f"unsupported quadrature rule {self.quadrature_rule!r}")
         if not (math.isfinite(self.grid_origin) and math.isfinite(self.grid_step)):
             raise InputError("grid_origin and grid_step must be finite")
         if not (self.grid_step > 0):
@@ -180,11 +180,11 @@ class Law:
 
 @dataclass(frozen=True)
 class SupportInfo:
-    """Numeric support bounds at node resolution; cext only when bounded."""
+    """Numeric support bounds at node resolution and their midpoint cext."""
 
     lext: float
     rext: float
-    cext: float | None
+    cext: float
 
     def __post_init__(self):
         if self.lext > self.rext:
@@ -196,12 +196,18 @@ class SupportInfo:
 
 
 def law_from_atoms(pairs: Iterable[tuple[float, float]], normalize: bool = False) -> Law:
-    """Pure discrete law from (location, mass) pairs; coincident locations merge."""
-    merged = _merge_atom_pairs(pairs)
-    total = math.fsum(m for _, m in merged)
+    """Pure discrete law from (location, mass) pairs; coincident locations
+    merge and zero masses are dropped."""
+    arr = np.array([(x, m) for x, m in pairs], dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(arr)):
+        raise InputError("atom locations and masses must be finite")
+    if np.any(arr[:, 1] < 0.0):
+        raise InputError("atom masses must be nonnegative")
+    arr = arr[arr[:, 1] > 0.0]
+    locs, masses = _merge_atoms(arr[:, 0], arr[:, 1])
     if normalize:
-        merged = [(x, m / total) for x, m in merged]
-    return Law(1.0, DiscreteLaw(tuple(Atom(x, m) for x, m in merged)), None)
+        masses = masses / math.fsum(masses)
+    return Law(1.0, _discrete(locs, masses), None)
 
 
 def point_mass(x: float) -> Law:
@@ -226,12 +232,7 @@ def density_from_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     xs = lo + step * np.arange(n + 1)
     vals = np.asarray(fn(xs), dtype=float)
     vals = np.where(xs <= hi + 1e-12 * step, vals, 0.0)
-    vals = np.maximum(vals, 0.0)
-    samples = np.concatenate(([0.0], vals, [0.0]))
-    mass = step * float(np.sum(samples))
-    if mass <= 0:
-        raise InputError("sampled density has zero mass")
-    return law_from_density(lo - step, step, samples / mass)
+    return Law(0.0, None, _grid_density(lo - step, step, np.concatenate(([0.0], vals, [0.0]))))
 
 
 def uniform_density(lo: float, hi: float, cells: int | None = None) -> Law:
@@ -307,8 +308,6 @@ def support_info(F: Law, mass_tol: float = 0.0) -> SupportInfo:
 def is_shift_symmetric(F: Law, tol: float = config.SHIFT_SYMMETRY_TOL) -> bool:
     """True when F reflected about its support center equals F within tol."""
     info = support_info(F)
-    if info.cext is None or not math.isfinite(info.lext) or not math.isfinite(info.rext):
-        raise LawShapeError("shift symmetry needs bounded support")
     c = info.cext
     width = max(info.rext - info.lext, 1.0)
     if F.discrete is not None:
@@ -336,16 +335,30 @@ def is_shift_symmetric(F: Law, tol: float = config.SHIFT_SYMMETRY_TOL) -> bool:
 # Mixture / transform / convolution
 
 
-def _merge_atom_pairs(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for x, m in sorted((float(x), float(m)) for x, m in pairs):
-        if m <= 0.0:
-            continue
-        if out and x - out[-1][0] <= config.ATOM_MERGE_TOL:
-            out[-1] = (out[-1][0], out[-1][1] + m)
-        else:
-            out.append((x, m))
-    return out
+def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort atoms by (location, mass) and merge each run of atoms that lie
+    within ATOM_MERGE_TOL of their left neighbour into one atom at the
+    run's leftmost location; masses (of any sign) add up in sorted order."""
+    order = np.lexsort((masses, locs))
+    locs, masses = locs[order], masses[order]
+    start = np.diff(locs, prepend=-np.inf) > config.ATOM_MERGE_TOL
+    return locs[start], np.bincount(np.cumsum(start) - 1, weights=masses)
+
+
+def _discrete(locs: np.ndarray, masses: np.ndarray) -> DiscreteLaw:
+    return DiscreteLaw(tuple(map(Atom, locs.tolist(), masses.tolist())))
+
+
+def _grid_density(origin: float, step: float, vals: np.ndarray) -> DensityLaw:
+    """Density from grid values: clip at 0, zero both grid ends and scale
+    to unit trapezoid mass."""
+    vals = np.maximum(vals, 0.0)
+    vals[0] = 0.0
+    vals[-1] = 0.0
+    mass = step * float(np.sum(vals))
+    if mass <= 0:
+        raise InputError("grid density has zero mass")
+    return DensityLaw(origin, step, vals / mass)
 
 
 def _weighted_density_sum(parts: list[tuple[float, DensityLaw]]) -> DensityLaw:
@@ -360,10 +373,25 @@ def _weighted_density_sum(parts: list[tuple[float, DensityLaw]]) -> DensityLaw:
     acc = np.zeros(n + 1)
     for w, d in parts:
         acc += w * d.pdf(xs)
-    acc[0] = 0.0
-    acc[-1] = 0.0
-    mass = step * float(np.sum(acc))
-    return DensityLaw(lo, step, acc / mass)
+    return _grid_density(lo, step, acc)
+
+
+def _assemble(locs: np.ndarray, masses: np.ndarray,
+              density_parts: list[tuple[float, DensityLaw]]) -> Law:
+    """Finalise a mixture from weighted atoms and weighted densities whose
+    weights together sum to 1: atoms merge, each part is normalised and the
+    discrete weight is the merged atom mass."""
+    keep = masses > 0.0
+    locs, masses = _merge_atoms(locs[keep], masses[keep])
+    w_disc = math.fsum(masses)
+    disc = _discrete(locs, masses / w_disc) if masses.size else None
+    if not density_parts:
+        return Law(1.0, disc, None)
+    w_cont = math.fsum(w for w, _ in density_parts)
+    cont = _weighted_density_sum([(w / w_cont, d) for w, d in density_parts])
+    if disc is None:
+        return Law(0.0, None, cont)
+    return Law(w_disc / (w_disc + w_cont), disc, cont)
 
 
 def mix(c: float, F1: Law, F2: Law) -> Law:
@@ -374,29 +402,15 @@ def mix(c: float, F1: Law, F2: Law) -> Law:
         return F1
     if c == 0.0:
         return F2
-    atom_pairs: list[tuple[float, float]] = []
+    locs, masses, dens = [np.empty(0)], [np.empty(0)], []
     for w, law in ((c, F1), (1.0 - c, F2)):
         if law.discrete is not None:
-            wd = w * law.discrete_weight
-            atom_pairs.extend((a.location, wd * a.mass) for a in law.discrete.atoms)
-    merged = _merge_atom_pairs(atom_pairs)
-    w_disc = math.fsum(m for _, m in merged)
-    disc = None
-    if merged:
-        disc = DiscreteLaw(tuple(Atom(x, m / w_disc) for x, m in merged))
-    dens_parts: list[tuple[float, DensityLaw]] = []
-    for w, law in ((c, F1), (1.0 - c, F2)):
-        if law.continuous is not None:
-            wc = w * (1.0 - law.discrete_weight)
-            if wc > 0:
-                dens_parts.append((wc, law.continuous))
-    if not dens_parts:
-        return Law(1.0, disc, None)
-    w_cont = math.fsum(w for w, _ in dens_parts)
-    cont = _weighted_density_sum([(w / w_cont, d) for w, d in dens_parts])
-    if disc is None:
-        return Law(0.0, None, cont)
-    return Law(w_disc / (w_disc + w_cont), disc, cont)
+            locs.append(law.discrete.locations)
+            masses.append(w * law.discrete_weight * law.discrete.masses)
+        wc = w * (1.0 - law.discrete_weight)
+        if law.continuous is not None and wc > 0:
+            dens.append((wc, law.continuous))
+    return _assemble(np.concatenate(locs), np.concatenate(masses), dens)
 
 
 def shift_scale(F: Law, shift: float, scale: float) -> Law:
@@ -405,8 +419,7 @@ def shift_scale(F: Law, shift: float, scale: float) -> Law:
         raise InputError(f"scale must be positive, got {scale}")
     disc = None
     if F.discrete is not None:
-        disc = DiscreteLaw(tuple(Atom(scale * a.location + shift, a.mass)
-                                 for a in F.discrete.atoms))
+        disc = _discrete(scale * F.discrete.locations + shift, F.discrete.masses)
     cont = None
     if F.continuous is not None:
         d = F.continuous
@@ -422,11 +435,7 @@ def _resample_density(d: DensityLaw, step: float) -> DensityLaw:
     width = d.nodes[-1] - d.grid_origin
     n = int(math.ceil(width / step - 1e-12))
     xs = d.grid_origin + step * np.arange(n + 2)
-    vals = d.pdf(xs)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    mass = step * float(np.sum(vals))
-    return DensityLaw(d.grid_origin, step, vals / mass)
+    return _grid_density(d.grid_origin, step, d.pdf(xs))
 
 
 def _convolve_densities(d1: DensityLaw, d2: DensityLaw) -> DensityLaw:
@@ -441,11 +450,7 @@ def _convolve_densities(d1: DensityLaw, d2: DensityLaw) -> DensityLaw:
         conv = fftconvolve(s1, s2)
     else:
         conv = np.convolve(s1, s2)
-    conv = np.maximum(conv * step, 0.0)
-    conv[0] = 0.0
-    conv[-1] = 0.0
-    mass = step * float(np.sum(conv))
-    return DensityLaw(d1.grid_origin + d2.grid_origin, step, conv / mass)
+    return _grid_density(d1.grid_origin + d2.grid_origin, step, conv * step)
 
 
 def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw) -> DensityLaw:
@@ -470,11 +475,7 @@ def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw) -> DensityLaw:
         acc[off:off + n] += m * (1.0 - f) * d.samples
         if f > 0.0:
             acc[off + 1:off + 1 + n] += m * f * d.samples
-    origin = d.grid_origin + h * bmin
-    acc[0] = 0.0
-    acc[-1] = 0.0
-    mass = h * float(np.sum(acc))
-    return DensityLaw(origin, h, acc / mass)
+    return _grid_density(d.grid_origin + h * bmin, h, acc)
 
 
 def convolve(F1: Law, F2: Law) -> Law:
@@ -483,37 +484,19 @@ def convolve(F1: Law, F2: Law) -> Law:
     Discrete (*) discrete is exact; parts involving densities land on a
     common uniform grid. Support bounds add within one grid step.
     """
-    pieces_atoms: list[tuple[float, float]] = []
-    pieces_dens: list[tuple[float, DensityLaw]] = []
     w1, w2 = F1.discrete_weight, F2.discrete_weight
-
+    locs = masses = np.empty(0)
     if F1.discrete is not None and F2.discrete is not None and w1 * w2 > 0:
-        for a in F1.discrete.atoms:
-            for b in F2.discrete.atoms:
-                pieces_atoms.append((a.location + b.location, w1 * w2 * a.mass * b.mass))
-    if F1.discrete is not None and F2.continuous is not None:
-        w = w1 * (1.0 - w2)
-        if w > 0:
-            pieces_dens.append((w, _convolve_atoms_density(F1.discrete, F2.continuous)))
-    if F2.discrete is not None and F1.continuous is not None:
-        w = w2 * (1.0 - w1)
-        if w > 0:
-            pieces_dens.append((w, _convolve_atoms_density(F2.discrete, F1.continuous)))
-    if F1.continuous is not None and F2.continuous is not None:
-        w = (1.0 - w1) * (1.0 - w2)
-        if w > 0:
-            pieces_dens.append((w, _convolve_densities(F1.continuous, F2.continuous)))
-
-    merged = _merge_atom_pairs(pieces_atoms)
-    w_disc = math.fsum(m for _, m in merged)
-    disc = DiscreteLaw(tuple(Atom(x, m / w_disc) for x, m in merged)) if merged else None
-    if not pieces_dens:
-        return Law(1.0, disc, None)
-    w_cont = math.fsum(w for w, _ in pieces_dens)
-    cont = _weighted_density_sum([(w / w_cont, d) for w, d in pieces_dens])
-    if disc is None:
-        return Law(0.0, None, cont)
-    return Law(w_disc / (w_disc + w_cont), disc, cont)
+        locs = np.add.outer(F1.discrete.locations, F2.discrete.locations).ravel()
+        masses = np.multiply.outer(w1 * w2 * F1.discrete.masses, F2.discrete.masses).ravel()
+    dens = []
+    for w, p1, p2, conv in (
+            (w1 * (1.0 - w2), F1.discrete, F2.continuous, _convolve_atoms_density),
+            (w2 * (1.0 - w1), F2.discrete, F1.continuous, _convolve_atoms_density),
+            ((1.0 - w1) * (1.0 - w2), F1.continuous, F2.continuous, _convolve_densities)):
+        if p1 is not None and p2 is not None and w > 0:
+            dens.append((w, conv(p1, p2)))
+    return _assemble(locs, masses, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +553,13 @@ def tv_distance(F1: Law, F2: Law) -> tuple[float, float]:
     piecewise-linear representation, so the bound only covers float
     accumulation.
     """
-    pairs: list[tuple[float, float]] = []
+    locs, masses = [np.empty(0)], [np.empty(0)]
     for sign, law in ((1.0, F1), (-1.0, F2)):
         if law.discrete is not None and law.discrete_weight > 0:
-            w = sign * law.discrete_weight
-            pairs.extend((a.location, w * a.mass) for a in law.discrete.atoms)
-    merged: list[tuple[float, float]] = []
-    for x, m in sorted(pairs):
-        if merged and x - merged[-1][0] <= config.ATOM_MERGE_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + m)
-        else:
-            merged.append((x, m))
-    atom_part = math.fsum(abs(m) for _, m in merged)
+            locs.append(law.discrete.locations)
+            masses.append(sign * law.discrete_weight * law.discrete.masses)
+    _, merged = _merge_atoms(np.concatenate(locs), np.concatenate(masses))
+    atom_part = math.fsum(np.abs(merged))
 
     parts1 = [(1.0 - F1.discrete_weight, F1.continuous)] if F1.continuous is not None else []
     parts2 = [(1.0 - F2.discrete_weight, F2.continuous)] if F2.continuous is not None else []
@@ -632,9 +610,5 @@ def restrict_density(F: Law, lo: float, hi: float) -> tuple[Law, float]:
     if idx.size == 0:
         raise InputError("restriction keeps no positive node")
     i0, i1 = max(idx[0] - 1, 0), min(idx[-1] + 1, vals.size - 1)
-    vals = vals[i0:i1 + 1].copy()
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    mass = d.grid_step * float(np.sum(vals))
-    out = DensityLaw(d.grid_origin + i0 * d.grid_step, d.grid_step, vals / mass)
+    out = _grid_density(d.grid_origin + i0 * d.grid_step, d.grid_step, vals[i0:i1 + 1])
     return Law(0.0, None, out), kept

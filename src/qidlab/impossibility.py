@@ -188,25 +188,6 @@ def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     return best_v, best_t
 
 
-def cf_convergents(x: float, count: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents (p, q) of x, best rational
-    approximations used to predict near-zero locations of the
-    three-point CF for irrational alpha."""
-    if count <= 0:
-        return []
-    out: list[tuple[int, int]] = []
-    p0, q0, p1, q1 = 1, 0, int(math.floor(x)), 1
-    out.append((p1, q1))
-    frac = x - math.floor(x)
-    while len(out) < count and frac > 1e-15:
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        frac = x - a
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        out.append((p1, q1))
-    return out
-
-
 def parse_alpha(text: str) -> tuple[float, Fraction | None]:
     """Parse an alpha argument: a named constant ('sqrt2', 'golden',
     'pi', 'e'), a fraction 'p/q' (treated as exactly rational), or a

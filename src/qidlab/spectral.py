@@ -50,24 +50,19 @@ class SpectralPair:
                 raise InputError("signed atoms carry nonzero lattice index only")
 
 
-class SpectralCF:
-    """CharFn-like evaluator reconstructed from a spectral pair."""
+def reconstruct_cf(pair: SpectralPair):
+    """Evaluator of exp(i*gamma*t + sum lambda_k (e^{itbk} - 1)): a complex
+    for scalar t, an array for array t."""
 
-    def __init__(self, pair: SpectralPair):
-        self.pair = pair
-
-    def __call__(self, t):
+    def cf(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        expo = 1j * self.pair.drift_gamma * t_arr
-        for k, lam in self.pair.signed_atoms:
-            expo = expo + lam * (np.exp(1j * t_arr * self.pair.lattice_b * k) - 1.0)
+        expo = 1j * pair.drift_gamma * t_arr
+        for k, lam in pair.signed_atoms:
+            expo = expo + lam * (np.exp(1j * t_arr * pair.lattice_b * k) - 1.0)
         out = np.exp(expo)
         return out if np.ndim(t) else complex(out[0])
 
-
-def reconstruct_cf(pair: SpectralPair) -> SpectralCF:
-    """Evaluator of exp(i*gamma*t + sum lambda_k (e^{itbk} - 1))."""
-    return SpectralCF(pair)
+    return cf
 
 
 def lattice_spectral_pair(F: Law, K: int = 64,

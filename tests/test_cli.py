@@ -155,3 +155,12 @@ class TestCommands:
         assert main(["check-zero-free", skew_path, "--out", str(out)]) == 0
         cert = json.loads(out.read_text())
         assert cert["window_T"] == pytest.approx(7.0, abs=0.02)
+
+    @pytest.mark.parametrize("key", ["grid_cells", "refine_tol", "no_such_key"])
+    def test_run_config_unknown_key_exits_2(self, tmp_path, skew_path, monkeypatch, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        monkeypatch.setenv("QIDLAB_CONFIG", str(cfg))
+        out = tmp_path / "cert.json"
+        assert main(["check-zero-free", skew_path, "--out", str(out)]) == 2
+        assert not out.exists()

@@ -32,12 +32,19 @@ class TestTypes:
             DensityLaw(0.0, -0.1, np.array([0.0, 10.0, 0.0]))
 
     @pytest.mark.parametrize("pairs", [[(math.nan, 0.5), (1.0, 0.5)],
-                                       [(0.0, 0.5), (math.inf, 0.5)]])
+                                       [(0.0, 0.5), (math.inf, 0.5)],
+                                       [(0.0, math.nan), (1.0, 1.0)],
+                                       [(0.0, -math.inf), (1.0, 1.0)],
+                                       [(0.0, -0.5), (1.0, 1.0)]])
     def test_atoms_must_be_finite(self, pairs):
         with pytest.raises(InputError):
             DiscreteLaw(tuple(Atom(x, m) for x, m in pairs))
         with pytest.raises(InputError):
             law_from_atoms(pairs)
+
+    def test_zero_masses_are_dropped(self):
+        law = law_from_atoms([(0.0, 0.0), (1.0, 1.0)])
+        assert [(a.location, a.mass) for a in law.discrete.atoms] == [(1.0, 1.0)]
 
     @pytest.mark.parametrize("origin, samples", [
         (0.0, [0.0, math.nan, 2.0, 0.0]),
@@ -150,6 +157,29 @@ class TestConvolve:
         xs = d.nodes
         triangle = np.where(xs < 1.0, np.maximum(xs, 0.0), np.maximum(2.0 - xs, 0.0))
         assert np.max(np.abs(d.samples - triangle)) < 5e-3
+
+
+# atoms 5e-13 apart lie within config.ATOM_MERGE_TOL and merge onto the
+# leftmost location
+CLOSE = 5e-13
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: law_from_atoms([(0.0, 0.25), (CLOSE, 0.25), (1.0, 0.5)]),
+     [(0.0, 0.5), (1.0, 0.5)]),
+    (lambda: mix(0.5, law_from_atoms([(0.0, 0.5), (1.0, 0.5)]),
+                 law_from_atoms([(CLOSE, 0.5), (1.0, 0.5)])),
+     [(0.0, 0.5), (1.0, 0.5)]),
+    (lambda: convolve(law_from_atoms([(0.0, 0.5), (1.0, 0.5)]),
+                      law_from_atoms([(0.0, 0.5), (1.0 + CLOSE, 0.5)])),
+     [(0.0, 0.25), (1.0, 0.5), (1.0 + (1.0 + CLOSE), 0.25)]),
+], ids=["law_from_atoms", "mix", "convolve"])
+def test_close_atoms_merge_onto_leftmost(build, expected):
+    law = build()
+    assert [(a.location, a.mass) for a in law.discrete.atoms] == expected
+    shifted = law_from_atoms([(x + CLOSE, m) for x, m in expected])
+    assert tv_distance(law, shifted) == (0.0, 0.0)
+    assert tv_distance(shifted, law) == (0.0, 0.0)
 
 
 class TestShiftScale:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qidlab.errors import InputError
-from qidlab.impossibility import (InfScanReport, cf_convergents, inf_scan,
-                                  kutlu_phi, kutlu_zero_scan, one_period_floor,
-                                  parse_alpha, rational_cf_period, three_point_cf)
+from qidlab.impossibility import (InfScanReport, inf_scan, kutlu_phi, kutlu_zero_scan,
+                                  one_period_floor, parse_alpha, rational_cf_period,
+                                  three_point_cf)
 
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -134,12 +134,6 @@ class TestAlphaHelpers:
         assert value == 0.25 and frac == Fraction(1, 4)
         with pytest.raises(InputError):
             parse_alpha("-1.0")
-
-    def test_convergents_of_sqrt2(self):
-        convs = cf_convergents(SQRT2, 6)
-        assert convs[:4] == [(1, 1), (3, 2), (7, 5), (17, 12)]
-        for p, q in convs[1:]:
-            assert abs(SQRT2 - p / q) < 1.0 / q ** 2
 
     def test_convergents_predict_deep_dips(self):
         # near t = 2 pi q (m + 1/3) with sqrt2 (m + 1/3) close to n - 1/3
