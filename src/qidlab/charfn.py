@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from ._fft import czt
 from .dist import Law
 from .errors import (BranchTrackingError, IdenticallyZeroImagError, InputError,
                      LawShapeError, WindowError, ZeroOnPathError)
@@ -133,10 +134,9 @@ class CharFn:
         if self._locs is not None:
             out += self._w * self._blocked(ts, self._atom_sum)
         if self._nodes is not None:
-            from scipy.signal import czt
             h = self._h
             x = self._node_w * np.exp(1j * t0 * h * np.arange(self._nodes.size))
-            X = czt(x, m=n, w=np.exp(1j * dt * h), a=1.0)
+            X = czt(x, n, np.exp(1j * dt * h))
             kernel = np.sinc(ts * h / (2.0 * np.pi)) ** 2
             out += (1.0 - self._w) * kernel * np.exp(1j * ts * self._nodes[0]) * X
         return out

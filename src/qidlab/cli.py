@@ -3,7 +3,8 @@ spectral extraction, total variation and the impossibility scans, with
 JSON/CSV file I/O.
 
 Exit codes: 0 success with certificate, 2 input error (parse failure,
-shape mismatch, bad parameter), 3 method failure (no certified result).
+shape mismatch, bad parameter), 3 method failure (no certified result,
+or out of memory).
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MethodError as exc:
         print(f"method failure: {exc}", file=sys.stderr)
+        return EXIT_METHOD
+    except MemoryError as exc:
+        print(f"method failure: out of memory ({exc})", file=sys.stderr)
         return EXIT_METHOD
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

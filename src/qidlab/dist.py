@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import config
+from ._fft import fftconvolve
 from .errors import InputError, LawShapeError, NotLatticeError
 
 _FLOAT_EPS = float(np.finfo(float).eps)
@@ -446,7 +447,6 @@ def _convolve_densities(d1: DensityLaw, d2: DensityLaw) -> DensityLaw:
     d1, d2 = _resample_density(d1, step), _resample_density(d2, step)
     s1, s2 = d1.samples, d2.samples
     if s1.size * s2.size > 262144:
-        from scipy.signal import fftconvolve
         conv = fftconvolve(s1, s2)
     else:
         conv = np.convolve(s1, s2)

@@ -7,8 +7,10 @@ exactly at +-(2*pi/3, -2*pi/3) inside [-pi, pi]^2. The CF of the law
 with equal atoms at 1, alpha, 1+alpha is phi restricted to the line
 (t, alpha*t); for irrational alpha that line equidistributes modulo
 2*pi and drags inf |f| over [0, T] toward zero, while rational alpha
-gives a periodic CF with a strictly positive floor reached inside one
-period.
+gives a periodic CF whose floor is reached inside one period. For
+alpha = p/q in lowest terms the line meets a zero of phi exactly when
+3 divides p + q; the floor is then 0 (up to rounding) and strictly
+positive otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .charfn import golden_polish
 from .errors import InputError
@@ -95,6 +96,7 @@ def kutlu_zero_scan(step: float, detect_below: float = 0.05) -> KutluScan:
     min_grid = float(mods.min())
 
     from scipy.ndimage import label
+    from scipy.optimize import minimize
     mask = mods < detect_below
     labels, count = label(mask)
     zeros: list[tuple[float, float]] = []
@@ -169,8 +171,9 @@ def rational_cf_period(frac: Fraction) -> float:
 
 def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     """Exhaustive scan of |three_point_cf| over one period for rational
-    alpha; returns (min, argmin). This is the strictly positive floor
-    the window ladder stabilizes at."""
+    alpha; returns (min, argmin). This is the floor the window ladder
+    stabilizes at: strictly positive unless 3 divides p + q, when the
+    CF has real zeros and the floor is 0 up to rounding."""
     period = rational_cf_period(frac)
     alpha = float(frac)
     n = int(math.ceil(period / step))

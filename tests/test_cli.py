@@ -117,6 +117,15 @@ class TestCommands:
         assert main(["tv", str(bad), fair_path]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_memory_error_is_method_failure(self, fair_path, monkeypatch, capsys):
+        def exhaust(args, cfg):
+            raise MemoryError("Unable to allocate 86.1 GiB")
+        monkeypatch.setattr("qidlab.cli.cmd_tv", exhaust)
+        assert main(["tv", fair_path, fair_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("method failure: out of memory")
+        assert "86.1 GiB" in err
+
     def test_kutlu_scan_csv(self, tmp_path):
         out = tmp_path / "kutlu.csv"
         assert main(["kutlu-scan", "--step", "0.02", "--out", str(out)]) == 0

@@ -1,0 +1,109 @@
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import qidlab
+from qidlab import _fft
+
+
+def _direct_czt(x, m, w):
+    j = np.arange(x.size)
+    return np.array([np.sum(x * w ** (j * k)) for k in range(m)])
+
+
+class TestParity:
+    @pytest.mark.parametrize("n, m", [(97, 97), (101, 40), (89, 257), (1, 5), (7, 1)])
+    def test_czt_matches_direct_sum(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = np.exp(1j * 0.0371)
+        ref = _direct_czt(x, m, w)
+        got = _fft.czt(x, m, w)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 300), (513, 700), (1024, 1025)])
+    def test_fftconvolve_matches_convolve(self, n1, n2):
+        rng = np.random.default_rng(n1 + n2)
+        a, b = rng.random(n1), rng.random(n2)
+        ref = np.convolve(a, b)
+        got = _fft.fftconvolve(a, b)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+    def test_next_fast_len_is_smallest_smooth(self):
+        def smooth(n, primes):
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            return n == 1
+        for real, primes in ((True, (2, 3, 5)), (False, (2, 3, 5, 7, 11))):
+            for target in range(1, 600):
+                got = _fft.next_fast_len(target, real)
+                assert got >= target and smooth(got, primes)
+                assert not any(smooth(k, primes) for k in range(target, got))
+
+
+class TestScipyBitwise:
+    """The numpy replicas give scipy's results bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _scipy(self):
+        self.signal = pytest.importorskip("scipy.signal")
+        self.sfft = pytest.importorskip("scipy.fft")
+
+    def test_next_fast_len(self):
+        targets = list(range(1, 3001)) + [(1 << 18) + 1, 262147, 1 << 20, 999983,
+                                          (1 << 24) + 7, 16777259]
+        for target in targets:
+            for real in (False, True):
+                assert _fft.next_fast_len(target, real) == self.sfft.next_fast_len(target, real)
+
+    def test_czt(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n, m = (int(v) for v in rng.integers(1, 3000, size=2))
+            x = rng.standard_normal(n) * np.exp(1j * rng.uniform(0.0, 6.0, n))
+            w = np.exp(1j * rng.uniform(1e-4, 0.5))
+            ref = self.signal.czt(x, m=m, w=w, a=1.0)
+            assert np.array_equal(_fft.czt(x, m, w).view(float), ref.view(float))
+
+    def test_fftconvolve(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            a, b = (rng.random(int(k)) for k in rng.integers(1, 5000, size=2))
+            assert np.array_equal(_fft.fftconvolve(a, b), self.signal.fftconvolve(a, b))
+
+
+COLD_SCRIPT = textwrap.dedent("""
+    import sys
+    import qidlab.cli
+    from qidlab.charfn import CharFn
+    from qidlab.dist import (continuous_bernoulli, convolve, mix, point_mass,
+                             uniform_density)
+    from qidlab.pipelines import approximate_mixture
+
+    CharFn(uniform_density(0.0, 1.0)).eval_grid(-5.0, 0.01, 1001)
+    U = uniform_density(0.0, 1.0, cells=1024)
+    K = continuous_bernoulli(0.4, 0.5, "plus", step=1 / 1024)
+    assert U.continuous.samples.size * K.continuous.samples.size > 262144
+    convolve(U, K)
+    res = approximate_mixture(mix(0.5, point_mass(0.0), U), 0.05)
+    assert res.params["case"] == "1a"
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_cold_path_imports_no_scipy():
+    """The CLI import, a CZT grid, an FFT convolution and a mixture
+    approximation run in a fresh interpreter without loading scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qidlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", COLD_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

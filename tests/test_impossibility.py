@@ -115,6 +115,12 @@ class TestInfScan:
         for _, m, _ in rep.minima:
             assert m == pytest.approx(floor, rel=1e-6)
 
+    def test_floor_vanishes_when_three_divides_p_plus_q(self):
+        # the line (t, alpha*t) meets a zero of phi exactly when 3 | p + q
+        assert one_period_floor(Fraction(4, 5), 0.01)[0] < 1e-9
+        assert one_period_floor(Fraction(2, 1), 0.01)[0] < 1e-9
+        assert one_period_floor(Fraction(3, 2), 0.01)[0] > 0.2
+
     def test_report_invariant_enforced(self):
         with pytest.raises(InputError):
             InfScanReport(1.0, (1.0, 2.0), ((1.0, 0.1, 0.0), (2.0, 0.2, 0.0)))
