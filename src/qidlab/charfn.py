@@ -224,6 +224,8 @@ def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> Z
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
+    if not math.isfinite(T / step):
+        raise InputError(f"window {T:g} over step {step:g} is not a finite point count")
     n = int(math.ceil(T / step))
     ts = step * np.arange(n + 1)
     mods = np.abs(f.eval_grid(0.0, step, n + 1))

@@ -3,13 +3,14 @@ spectral extraction, total variation and the impossibility scans, with
 JSON/CSV file I/O.
 
 Exit codes: 0 success with certificate, 2 input error (parse failure,
-shape mismatch, bad parameter), 3 method failure (no certified result,
-or out of memory).
+shape mismatch, bad parameter, non-finite number), 3 method failure (no
+certified result, or out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -118,8 +119,26 @@ def cmd_inf_scan(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as InputError, so they exit 2 like every
+    other input error."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qidlab",
         description="Zero-free approximation of probability laws with "
                     "certified total-variation error")
@@ -128,17 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approximate", help="run an approximation pipeline")
     p.add_argument("input", help="law JSON file")
     p.add_argument("--mode", choices=["abs", "lattice", "mixture"], required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--q", type=_finite_float, default=None)
+    p.add_argument("--tau", type=_finite_float, default=0.5)
     p.add_argument("--side", choices=["plus", "minus"], default="plus")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("check-zero-free", help="scan |f| for zeros")
     p.add_argument("input")
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--window", type=_finite_float, default=None)
+    p.add_argument("--step", type=_finite_float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_zero_free)
 
@@ -154,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tv)
 
     p = sub.add_parser("kutlu-scan", help="scan the three-exponential function for zeros")
-    p.add_argument("--step", type=float, default=0.005)
+    p.add_argument("--step", type=_finite_float, default=0.005)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kutlu_scan)
 
@@ -162,16 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", help="named constant (sqrt2, golden, pi, e), "
                                  "fraction p/q, or decimal")
     p.add_argument("--ladder", default="100,1000,10000")
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_finite_float, default=0.01)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_inf_scan)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _load_config()
         return args.func(args, cfg)
     except InputError as exc:

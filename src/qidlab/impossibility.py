@@ -26,6 +26,11 @@ from .errors import InputError
 
 _CHUNK = 1 << 20
 
+# Kutlu zero scan: grid points below this |phi| seed Newton's method,
+# which then runs a fixed number of steps on all seeds at once.
+_KUTLU_SEED_BELOW = 0.05
+_KUTLU_NEWTON_STEPS = 6
+
 # named high-precision constants accepted by alpha parsers
 NAMED_ALPHAS = {
     "sqrt2": math.sqrt(2.0),
@@ -78,83 +83,86 @@ def three_point_cf(alpha: float, t):
     return out if out.ndim else complex(out)
 
 
-def kutlu_zero_scan(step: float, detect_below: float = 0.05) -> KutluScan:
-    """Scan |phi| on [-pi, pi]^2 and polish every grid basin dipping
-    below detect_below down to |phi| < 1e-9 (Nelder-Mead on |phi|);
-    basins that do not reach 1e-9 are not reported as zeros."""
-    if step <= 0:
-        raise InputError("step must be positive")
+def kutlu_zero_scan(step: float) -> KutluScan:
+    """Zeros of phi on [-pi, pi]^2. Every grid point with |phi| below
+    _KUTLU_SEED_BELOW seeds Newton's method, all seeds stepping together
+    _KUTLU_NEWTON_STEPS times, and the distinct limits with |phi| < 1e-9
+    are reported. Newton reads phi as a map R^2 -> C = R^2 with Jacobian
+    columns d phi/dt_k = i(e^{it_k} + e^{i(t1+t2)})/3, whose determinant
+    Im(conj(d1) d2) is nonzero at both zeros. min_modulus is the least
+    |phi| on the grid or at a Newton limit."""
+    if not (step > 0 and math.isfinite(step)):
+        raise InputError("step must be positive and finite")
     n = int(math.ceil(2.0 * math.pi / step)) + 1
     axis = -math.pi + (2.0 * math.pi) * np.arange(n) / (n - 1)
     mods = np.empty((n, n))
     row_block = max(1, _CHUNK // n)
-    col = np.exp(1j * axis)
+    e = np.exp(1j * axis)
     for lo in range(0, n, row_block):
-        t1 = axis[lo:lo + row_block, None]
-        mods[lo:lo + row_block] = np.abs(
-            np.exp(1j * t1) + col[None, :] + np.exp(1j * t1) * col[None, :]) / 3.0
-    min_grid = float(mods.min())
-
-    from scipy.ndimage import label
-    from scipy.optimize import minimize
-    mask = mods < detect_below
-    labels, count = label(mask)
-    zeros: list[tuple[float, float]] = []
-    best = min_grid
-    fobj = lambda v: float(abs(kutlu_phi(v[0], v[1])))
-    for lbl in range(1, count + 1):
-        idx = np.nonzero(labels == lbl)
-        k = int(np.argmin(mods[idx]))
-        x0 = np.array([axis[idx[0][k]], axis[idx[1][k]]])
-        res = minimize(fobj, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-        val = float(res.fun)
-        best = min(best, val)
-        if val < 1e-9:
-            zeros.append((float(res.x[0]), float(res.x[1])))
-    zeros.sort()
+        e1 = e[lo:lo + row_block, None]
+        mods[lo:lo + row_block] = np.abs(e1 + e + e1 * e) / 3.0
+    i, j = np.nonzero(mods < _KUTLU_SEED_BELOW)
+    t1, t2 = axis[i], axis[j]
+    for _ in range(_KUTLU_NEWTON_STEPS):
+        e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
+        e12 = e1 * e2
+        phi = (e1 + e2 + e12) / 3.0
+        d1, d2 = 1j * (e1 + e12) / 3.0, 1j * (e2 + e12) / 3.0
+        det = (np.conj(d1) * d2).imag
+        t1, t2 = t1 - (np.conj(phi) * d2).imag / det, t2 - (np.conj(d1) * phi).imag / det
+    vals = np.abs(kutlu_phi(t1, t2))
+    hit = vals < 1e-9
     dedup: list[tuple[float, float]] = []
-    for z in zeros:
+    for z in sorted(set(zip(t1[hit].tolist(), t2[hit].tolist()))):
         if all(math.hypot(z[0] - w[0], z[1] - w[1]) > 1e-3 for w in dedup):
             dedup.append(z)
-    return KutluScan(grid_step=step, min_modulus=best,
+    return KutluScan(grid_step=step, min_modulus=float(np.min(vals, initial=mods.min())),
                      zero_locations=tuple(dedup))
 
 
-def _refine_dip(alpha: float, t: float, step: float) -> tuple[float, float]:
-    """Golden polish of |three_point_cf| around a grid minimum."""
-    x, v = golden_polish(lambda x: np.abs(three_point_cf(alpha, x)),
-                         max(t - step, 0.0), t, t + step)
-    return float(x[0]), float(v[0])
+def _grid_min(alpha: float, ts_at, lo: int, hi: int) -> tuple[float, float]:
+    """First smallest |three_point_cf(alpha, t)| over t = ts_at(k) for
+    lo <= k < hi, scanned in blocks of _CHUNK; returns (inf, 0) if the
+    range is empty."""
+    best_v, best_t = math.inf, 0.0
+    for a in range(lo, hi, _CHUNK):
+        ts = ts_at(np.arange(a, min(a + _CHUNK, hi)))
+        mods = np.abs(three_point_cf(alpha, ts))
+        k = int(np.argmin(mods))
+        if float(mods[k]) < best_v:
+            best_v, best_t = float(mods[k]), float(ts[k])
+    return best_v, best_t
+
+
+def _polish_keep(alpha: float, v: float, t: float, step: float) -> tuple[float, float]:
+    """Golden polish of |three_point_cf| around the grid minimum (v, t);
+    returns the polished (value, argmin) if lower, else (v, t)."""
+    x, pv = golden_polish(lambda x: np.abs(three_point_cf(alpha, x)),
+                          max(t - step, 0.0), t, t + step)
+    return (float(pv[0]), float(x[0])) if pv[0] < v else (v, t)
 
 
 def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
     """Prefix minima of |three_point_cf(alpha, .)| over [0, T] for each
     T in the increasing ladder, grid-scanned at the given step with a
     golden polish of the best dip per window."""
-    if step <= 0:
-        raise InputError("step must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise InputError("step must be positive and finite")
     ladder = [float(T) for T in ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
         raise InputError("ladder must be strictly increasing and non-empty")
+    if not all(math.isfinite(T / step) for T in ladder):
+        raise InputError("every ladder window T and T/step must be finite")
     minima: list[tuple[float, float, float]] = []
-    running_val = math.inf
-    running_arg = 0.0
+    running_val, running_arg = math.inf, 0.0
     lo_idx = 0
     for T in ladder:
-        hi_idx = int(math.floor(T / step))
-        for lo in range(lo_idx, hi_idx + 1, _CHUNK):
-            hi = min(lo + _CHUNK, hi_idx + 1)
-            ts = step * np.arange(lo, hi)
-            mods = np.abs(three_point_cf(alpha, ts))
-            k = int(np.argmin(mods))
-            if float(mods[k]) < running_val:
-                running_val = float(mods[k])
-                running_arg = float(ts[k])
-        lo_idx = hi_idx + 1
-        t_ref, v_ref = _refine_dip(alpha, running_arg, step)
-        if v_ref < running_val:
-            running_val, running_arg = v_ref, t_ref
+        hi_idx = int(math.floor(T / step)) + 1
+        v, t = _grid_min(alpha, lambda k: step * k, lo_idx, hi_idx)
+        if v < running_val:
+            running_val, running_arg = v, t
+        lo_idx = hi_idx
+        running_val, running_arg = _polish_keep(alpha, running_val, running_arg, step)
         minima.append((T, running_val, running_arg))
     return InfScanReport(alpha=float(alpha), window_ladder=tuple(ladder),
                          minima=tuple(minima))
@@ -174,21 +182,13 @@ def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     alpha; returns (min, argmin). This is the floor the window ladder
     stabilizes at: strictly positive unless 3 divides p + q, when the
     CF has real zeros and the floor is 0 up to rounding."""
+    if not (step > 0 and math.isfinite(step)):
+        raise InputError("step must be positive and finite")
     period = rational_cf_period(frac)
     alpha = float(frac)
     n = int(math.ceil(period / step))
-    best_v, best_t = math.inf, 0.0
-    for lo in range(0, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
-        ts = period * np.arange(lo, hi) / n
-        mods = np.abs(three_point_cf(alpha, ts))
-        k = int(np.argmin(mods))
-        if float(mods[k]) < best_v:
-            best_v, best_t = float(mods[k]), float(ts[k])
-    t_ref, v_ref = _refine_dip(alpha, best_t, period / n)
-    if v_ref < best_v:
-        best_v, best_t = v_ref, t_ref
-    return best_v, best_t
+    best_v, best_t = _grid_min(alpha, lambda k: period * k / n, 0, n + 1)
+    return _polish_keep(alpha, best_v, best_t, period / n)
 
 
 def parse_alpha(text: str) -> tuple[float, Fraction | None]:
@@ -199,12 +199,11 @@ def parse_alpha(text: str) -> tuple[float, Fraction | None]:
     s = text.strip().lower()
     if s in NAMED_ALPHAS:
         return NAMED_ALPHAS[s], None
-    if "/" in s:
-        frac = Fraction(s)
-        if frac <= 0:
-            raise InputError("alpha must be positive")
-        return float(frac), frac
-    value = float(s)
-    if value <= 0:
-        raise InputError("alpha must be positive")
-    return value, Fraction(value).limit_denominator(10 ** 12)
+    try:
+        frac = Fraction(s) if "/" in s else None
+        value = float(s if frac is None else frac)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"alpha {text!r} is not a finite number") from exc
+    if not (value > 0 and math.isfinite(value)):
+        raise InputError("alpha must be positive and finite")
+    return value, frac if frac is not None else Fraction(value).limit_denominator(10 ** 12)

@@ -67,6 +67,24 @@ class TestExitCodes:
         assert main(["approximate", str(bad), "--mode", "lattice",
                      "--eps", "0.1"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "inf-scan inf", "inf-scan 1e400", "inf-scan 1/0",
+        "inf-scan 3/2 --step inf", "inf-scan sqrt2 --ladder 10,inf",
+        "check-zero-free {law} --window inf",
+        "check-zero-free {law} --window 1e300 --step 1e-300",
+        "approximate {dens} --mode abs --eps 0.05 --tau inf",
+        "kutlu-scan --step inf",
+    ])
+    def test_non_finite_numbers_are_input_errors(self, argv, fair_path, tmp_path,
+                                                 uniform01, capsys):
+        dens = tmp_path / "dens.json"
+        save_law(uniform01, str(dens))
+        out = tmp_path / "out"
+        args = argv.format(law=fair_path, dens=dens).split() + ["--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not out.exists()
+
     def test_spectral_on_vanishing_cf_is_method_error(self, fair_path, capsys):
         code = main(["spectral-pair", fair_path, "-K", "10"])
         assert code == 3

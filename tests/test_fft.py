@@ -81,6 +81,7 @@ class TestScipyBitwise:
 
 COLD_SCRIPT = textwrap.dedent("""
     import sys
+    sys.modules["scipy"] = None  # any scipy import now raises
     import qidlab.cli
     from qidlab.charfn import CharFn
     from qidlab.dist import (continuous_bernoulli, convolve, mix, point_mass,
@@ -94,16 +95,21 @@ COLD_SCRIPT = textwrap.dedent("""
     convolve(U, K)
     res = approximate_mixture(mix(0.5, point_mass(0.0), U), 0.05)
     assert res.params["case"] == "1a"
-    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    for argv in (["kutlu-scan", "--step", "0.02"], ["inf-scan", "sqrt2", "--ladder", "100,1000"],
+                 ["inf-scan", "3/2", "--ladder", "100,1000"]):
+        assert qidlab.cli.main(argv) == 0
+    print(sorted(m for m, mod in sys.modules.items()
+                 if m.split(".")[0] == "scipy" and mod is not None))
 """)
 
 
-def test_cold_path_imports_no_scipy():
-    """The CLI import, a CZT grid, an FFT convolution and a mixture
-    approximation run in a fresh interpreter without loading scipy."""
+def test_cold_path_imports_no_scipy(tmp_path):
+    """The CLI import, a CZT grid, an FFT convolution, a mixture
+    approximation and the kutlu-scan and inf-scan commands run in a fresh
+    interpreter where scipy cannot be imported."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qidlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", COLD_SCRIPT], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qidlab import impossibility
 from qidlab.errors import InputError
 from qidlab.impossibility import (InfScanReport, inf_scan, kutlu_phi, kutlu_zero_scan,
                                   one_period_floor, parse_alpha, rational_cf_period,
@@ -45,16 +46,18 @@ class TestKutluPhi:
 
 
 class TestKutluZeroScan:
-    def test_finds_both_zeros(self):
-        scan = kutlu_zero_scan(0.01)
+    @pytest.mark.parametrize("step", [0.3, 0.1, 0.02, 0.01, 0.005])
+    def test_finds_both_zeros(self, step):
+        scan = kutlu_zero_scan(step)
         z = 2.0 * math.pi / 3.0
         assert len(scan.zero_locations) == 2
         found = sorted(scan.zero_locations)
-        assert found[0][0] == pytest.approx(-z, abs=1e-6)
-        assert found[0][1] == pytest.approx(z, abs=1e-6)
-        assert found[1][0] == pytest.approx(z, abs=1e-6)
-        assert found[1][1] == pytest.approx(-z, abs=1e-6)
-        assert scan.min_modulus < 1e-9
+        assert all(abs(t) <= math.pi for zero in found for t in zero)
+        assert found[0][0] == pytest.approx(-z, abs=1e-13)
+        assert found[0][1] == pytest.approx(z, abs=1e-13)
+        assert found[1][0] == pytest.approx(z, abs=1e-13)
+        assert found[1][1] == pytest.approx(-z, abs=1e-13)
+        assert scan.min_modulus < 1e-15
 
     def test_zero_set_symmetric(self):
         scan = kutlu_zero_scan(0.02)
@@ -84,6 +87,9 @@ class TestInfScan:
             inf_scan(SQRT2, [100.0, 100.0], 0.01)
         with pytest.raises(InputError):
             inf_scan(SQRT2, [], 0.01)
+        for step in (0.0, -1.0, math.inf):
+            with pytest.raises(InputError):
+                one_period_floor(Fraction(3, 2), step)
 
     def test_minima_non_increasing_any_alpha(self):
         for alpha in (SQRT2, 0.7, 2.25):
@@ -120,6 +126,20 @@ class TestInfScan:
         assert one_period_floor(Fraction(4, 5), 0.01)[0] < 1e-9
         assert one_period_floor(Fraction(2, 1), 0.01)[0] < 1e-9
         assert one_period_floor(Fraction(3, 2), 0.01)[0] > 0.2
+
+    def test_chunk_seams_keep_first_of_equal_minima(self, monkeypatch):
+        scan = inf_scan(SQRT2, [10.0, 100.0], 0.01)
+        floor = one_period_floor(Fraction(3, 2), 0.01)
+        monkeypatch.setattr(impossibility, "_CHUNK", 7)
+        assert inf_scan(SQRT2, [10.0, 100.0], 0.01) == scan
+        assert one_period_floor(Fraction(3, 2), 0.01) == floor
+        # |f| = 1 + (4t mod 5) on the grid t = k/4 ties at k = 0, 5, 10, ...:
+        # the first tie wins across chunks and across windows
+        monkeypatch.setattr(impossibility, "three_point_cf",
+                            lambda alpha, t: 1.0 + np.round(4.0 * np.asarray(t)) % 5)
+        assert inf_scan(SQRT2, [10.0, 100.0], 0.25).minima == ((10.0, 1.0, 0.0),
+                                                                (100.0, 1.0, 0.0))
+        assert one_period_floor(Fraction(3, 2), 0.25) == (1.0, 0.0)
 
     def test_report_invariant_enforced(self):
         with pytest.raises(InputError):
