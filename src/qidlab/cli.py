@@ -107,13 +107,17 @@ def cmd_kutlu_scan(args, cfg: RunConfig) -> int:
 def cmd_inf_scan(args, cfg: RunConfig) -> int:
     alpha, frac = parse_alpha(args.alpha)
     ladder = [float(x) for x in args.ladder.split(",")]
+    # the floor scan runs first so that either scan's point cap stops the
+    # command before any output is written
+    floor = None
+    if frac is not None and frac.denominator <= 1000:
+        floor, _ = one_period_floor(frac, args.step)
     report = inf_scan(alpha, ladder, args.step)
     rows = [(T, m, t) for T, m, t in report.minima]
     path = args.out or os.path.join(cfg.out_dir, "inf_scan.csv")
     write_csv(path, ["T", "min_modulus", "argmin_t"], rows)
     msg = f"minima {', '.join('%.4g' % m for _, m, _ in report.minima)}; wrote {path}"
-    if frac is not None and frac.denominator <= 1000:
-        floor, _ = one_period_floor(frac, args.step)
+    if floor is not None:
         msg += f" (rational alpha: one-period floor {floor:.6g})"
     print(msg)
     return EXIT_OK

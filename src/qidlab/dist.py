@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -74,20 +75,21 @@ class DiscreteLaw:
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "masses", masses)
 
-    def lattice_params(self, rel_tol: float = config.LATTICE_REL_TOL) -> tuple[float, float]:
-        """Fit the support into a lattice a + b*Z and return (a, b).
+    @cached_property
+    def lattice_fit(self) -> tuple[float, float, np.ndarray] | None:
+        """The support as a + b*ks, fitted once: (a, b, ks) with ks the
+        increasing integer indices (ks[0] = 0), or None when no span
+        reproduces every location within config.LATTICE_REL_TOL of the
+        support width.
 
         b is the approximate positive gcd of the location differences,
-        refined by least squares. A degenerate law returns b = 0.
-        Raises NotLatticeError when no span reproduces all locations at
-        the given relative tolerance.
+        refined by least squares. A degenerate law has b = 0.
         """
         locs = self.locations
         if len(locs) == 1:
-            return float(locs[0]), 0.0
+            return float(locs[0]), 0.0, np.zeros(1, dtype=np.int64)
         diffs = locs[1:] - locs[0]
-        scale = float(diffs[-1])
-        tol = rel_tol * scale
+        tol = config.LATTICE_REL_TOL * float(diffs[-1])
         g = 0.0
         for d in diffs:
             a, b = max(abs(d), g), min(abs(d), g)
@@ -95,13 +97,23 @@ class DiscreteLaw:
                 a, b = b, abs(a - b * round(a / b))
             g = a
         if g <= 0 or g < (diffs[0] * 1e-6):
-            raise NotLatticeError("no lattice span fits the support")
+            return None
         ks = np.round(diffs / g)
         if np.any(np.abs(diffs - ks * g) > tol):
-            raise NotLatticeError("support is not lattice at tolerance")
+            return None
         # least-squares refinement of the span through the fitted indices
         b_fit = float(np.dot(ks, diffs) / np.dot(ks, ks))
-        return float(locs[0]), b_fit
+        ks = np.concatenate(([0], ks.astype(np.int64)))
+        ks.setflags(write=False)
+        return float(locs[0]), b_fit, ks
+
+    def lattice_params(self) -> tuple[float, float]:
+        """(a, b) of lattice_fit. Raises NotLatticeError when the
+        support is not a lattice."""
+        fit = self.lattice_fit
+        if fit is None:
+            raise NotLatticeError("no lattice span fits the support")
+        return fit[0], fit[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,12 @@ from .errors import InputError
 
 _CHUNK = 1 << 20
 
+# Grid points one inf_scan or one_period_floor may visit. A desk-scale
+# window T = 1e6 at step 0.01 is 1e8 points (about 14 s on a 2-core x86
+# host); past this cap the scan is refused with InputError before it
+# starts.
+MAX_GRID_POINTS = 10 ** 9
+
 # Kutlu zero scan: grid points below this |phi| seed Newton's method,
 # which then runs a fixed number of steps on all seeds at once.
 _KUTLU_SEED_BELOW = 0.05
@@ -120,6 +126,12 @@ def kutlu_zero_scan(step: float) -> KutluScan:
                      zero_locations=tuple(dedup))
 
 
+def _check_points(n: int) -> None:
+    if n > MAX_GRID_POINTS:
+        raise InputError(f"scan needs {n:.3g} grid points, above the cap of "
+                         f"{MAX_GRID_POINTS:.0e}; use a coarser step or a shorter window")
+
+
 def _grid_min(alpha: float, ts_at, lo: int, hi: int) -> tuple[float, float]:
     """First smallest |three_point_cf(alpha, t)| over t = ts_at(k) for
     lo <= k < hi, scanned in blocks of _CHUNK; returns (inf, 0) if the
@@ -153,6 +165,7 @@ def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
         raise InputError("ladder must be strictly increasing and non-empty")
     if not all(math.isfinite(T / step) for T in ladder):
         raise InputError("every ladder window T and T/step must be finite")
+    _check_points(math.floor(ladder[-1] / step) + 1)
     minima: list[tuple[float, float, float]] = []
     running_val, running_arg = math.inf, 0.0
     lo_idx = 0
@@ -187,6 +200,7 @@ def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     period = rational_cf_period(frac)
     alpha = float(frac)
     n = int(math.ceil(period / step))
+    _check_points(n + 1)
     best_v, best_t = _grid_min(alpha, lambda k: period * k / n, 0, n + 1)
     return _polish_keep(alpha, best_v, best_t, period / n)
 

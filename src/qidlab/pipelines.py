@@ -94,10 +94,10 @@ def truncate_lattice(F: Law, eps: float) -> tuple[Law, int, int, float, float]:
     if len(atoms) < 2:
         raise LawShapeError("need at least two atoms (degenerate laws are "
                             "already representable exactly)")
-    a, b = F.discrete.lattice_params()
+    F.discrete.lattice_params()  # NotLatticeError off a lattice
+    ks = F.discrete.lattice_fit[2]
     locs = F.discrete.locations
     masses = F.discrete.masses
-    ks = np.round((locs - a) / b).astype(int)
     below = np.concatenate(([0.0], np.cumsum(masses)[:-1]))
     above = np.concatenate((np.cumsum(masses[::-1])[::-1][1:], [0.0]))
     half = 0.5 * eps

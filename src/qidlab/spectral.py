@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .charfn import CharFn, _track_branch, min_modulus_scan
+from .charfn import CharFn, _blocked, _power_sum, _track_branch, min_modulus_scan
 from .dist import Law
 from .errors import InputError, LawShapeError, SpectralExtractionError
 
@@ -52,14 +52,22 @@ class SpectralPair:
 
 def reconstruct_cf(pair: SpectralPair):
     """Evaluator of exp(i*gamma*t + sum lambda_k (e^{itbk} - 1)): a complex
-    for scalar t, an array for array t."""
+    for scalar t, an array for array t.
+
+    The sum over k = -K..K is one power-table sum in z = e^{itb}
+    (charfn's lattice path), taken in blocks of t under BLOCK_ENTRIES.
+    """
+    ks = np.array([k for k, _ in pair.signed_atoms], dtype=np.int64)
+    lams = np.array([lam for _, lam in pair.signed_atoms], dtype=float)
+    K = int(np.max(np.abs(ks), initial=0))
+    coeffs = np.bincount(ks + K, weights=lams, minlength=2 * K + 1)
+    lam_sum = math.fsum(lams)
+    b = pair.lattice_b
 
     def cf(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        expo = 1j * pair.drift_gamma * t_arr
-        for k, lam in pair.signed_atoms:
-            expo = expo + lam * (np.exp(1j * t_arr * pair.lattice_b * k) - 1.0)
-        out = np.exp(expo)
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        sums = _blocked(t_arr, lambda tb: _power_sum(tb, -K * b, b, coeffs), coeffs.size)
+        out = np.exp(1j * pair.drift_gamma * t_arr + (sums - lam_sum)).reshape(np.shape(t) or 1)
         return out if np.ndim(t) else complex(out[0])
 
     return cf

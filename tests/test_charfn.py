@@ -6,10 +6,11 @@ import pytest
 from qidlab import charfn
 from qidlab.charfn import (CharFn, decay_window, distinguished_log, golden_polish,
                            imag_zero_scan, min_modulus_scan)
-from qidlab.dist import (continuous_bernoulli, convolve, mix, point_mass,
-                         uniform_density)
+from qidlab.dist import (continuous_bernoulli, convolve, law_from_atoms, mix,
+                         point_mass, uniform_density)
 from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                            WindowError, ZeroOnPathError)
+from qidlab.pipelines import approximate_abs_cont
 from conftest import heavy_lattice_law, poisson_law
 
 
@@ -83,6 +84,99 @@ class TestEval:
         lhs = CharFn(out)(ts)
         rhs = CharFn(u)(ts) * CharFn(b)(ts)
         assert np.max(np.abs(lhs - rhs)) < 1e-6
+
+
+def direct_atoms(law, t):
+    """Reference atom sum: one complex exponential per (t, atom)."""
+    locs, masses = law.discrete.locations, law.discrete.masses
+    return np.array([np.sum(masses * np.exp(1j * tt * locs)) for tt in t])
+
+
+def direct_density(law, t):
+    """Reference density CF: h * sinc(th/2)^2 * exp(itx) summed over nodes."""
+    d = law.continuous
+    nodes = d.grid_origin + d.grid_step * np.arange(d.samples.size)
+    kernel = np.sinc(t * d.grid_step / (2.0 * np.pi)) ** 2
+    return kernel * np.array([np.sum(d.grid_step * d.samples * np.exp(1j * tt * nodes))
+                              for tt in t])
+
+
+GAPPED = [(-2.7 + 0.35 * k, m) for k, m in zip((0, 1, 4, 5, 9, 17),
+                                                 (0.1, 0.25, 0.05, 0.3, 0.2, 0.1))]
+
+
+class TestPowerTable:
+    """Lattice atoms and density nodes go through the power table of
+    z = exp(itb); other atom sets through the dense exp(itx) product."""
+
+    @pytest.mark.parametrize("law", [
+        heavy_lattice_law(),
+        law_from_atoms(GAPPED),                    # gaps, negative offset
+        law_from_atoms([(0.0, 0.2), (1.0, 0.8)]),
+    ], ids=["heavy_lattice", "gapped_negative_offset", "two_atom"])
+    def test_lattice_matches_direct_sum(self, law):
+        f = CharFn(law)
+        assert f._lattice is not None
+        # two periods of the heavy lattice; both sums round like eps*|t*x|
+        ts = np.linspace(-12.0, 12.0, 1601)
+        assert np.max(np.abs(f(ts) - direct_atoms(law, ts))) <= 1e-12
+        grid = f.eval_grid(-12.0, 0.015, 1601)
+        assert np.max(np.abs(grid - direct_atoms(law, ts))) <= 1e-12
+
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, 1 / 3), (math.sqrt(2.0), 1 / 3), (1.0 + math.sqrt(2.0), 1 / 3)],
+        [(0.0, 0.5), (1.0, 0.25), (50.0, 0.25)],   # 51 terms for 3 atoms
+        [(0.0, 0.5), (1.0, 0.25), (2.0 + 1e-10, 0.25)],  # lattice only at 1e-9
+    ], ids=["non_lattice", "sparse_lattice", "misfit_lattice"])
+    def test_dense_fallback_matches_direct_sum(self, atoms):
+        law = law_from_atoms(atoms)
+        f = CharFn(law)
+        assert f._lattice is None
+        ts = np.linspace(-5e3, 5e3, 2001)
+        assert np.max(np.abs(f(ts) - direct_atoms(law, ts))) <= 1e-12
+        grid = f.eval_grid(-5e3, 5.0, 2001)
+        assert np.max(np.abs(grid - direct_atoms(law, ts))) <= 1e-12
+
+    def test_fill_cut_off(self):
+        # degree + 1 = LATTICE_FILL_MAX * atoms is the last lattice on the table
+        last = 3.0 * charfn.LATTICE_FILL_MAX - 1.0
+        for top, on_table in ((last, True), (last + 1.0, False)):
+            law = law_from_atoms([(0.0, 0.5), (1.0, 0.25), (top, 0.25)])
+            assert (CharFn(law)._lattice is not None) == on_table
+
+    def test_large_density_matches_direct_sum(self, truncated_normal):
+        out = approximate_abs_cont(truncated_normal, 0.05, 0.4, 0.5, "plus").approximant
+        assert 15_000 < out.continuous.samples.size < 20_000
+        f = CharFn(out)
+        ts = np.linspace(-300.0, 300.0, 241)
+        ref = direct_density(out, ts)
+        assert np.max(np.abs(f(ts) - ref)) <= 1e-12
+        assert np.max(np.abs(f.continuous_part(ts) - ref)) <= 1e-12
+
+    def test_mixture_matches_direct_sum(self, uniform01):
+        law = mix(0.3, law_from_atoms(GAPPED), uniform01)
+        ts = np.linspace(-60.0, 60.0, 481)
+        ref = 0.3 * direct_atoms(law, ts) + 0.7 * direct_density(law, ts)
+        assert np.max(np.abs(CharFn(law)(ts) - ref)) <= 1e-12
+
+    def test_gapped_lattice_blocks_within_budget(self, monkeypatch):
+        law = law_from_atoms(GAPPED)
+        ts = np.linspace(-40.0, 40.0, 301)
+        f = CharFn(law)
+        ref = (f(ts), f.eval_grid(-40.0, 0.1, 801))
+        cols = 18                                   # degree + 1 > 6 atoms
+        budget = 2 * cols + 5
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", budget)
+        entries = []
+        power_sum = charfn._power_sum
+        monkeypatch.setattr(charfn, "_power_sum", lambda t, x0, step, c: (
+            entries.append((t.size, c.size)) or power_sum(t, x0, step, c)))
+        got = (f(ts), f.eval_grid(-40.0, 0.1, 801))
+        assert {c for _, c in entries} == {cols}
+        assert max(r * c for r, c in entries) <= budget
+        assert sum(r for r, _ in entries) == ts.size + 801
+        for a, b in zip(ref, got):
+            assert np.max(np.abs(a - b)) < 1e-13
 
 
 class TestMinModulusScan:

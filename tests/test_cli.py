@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qidlab import impossibility
 from qidlab.cli import main
 from qidlab.dist import law_from_atoms, mix, point_mass
 from qidlab.jsonio import canonical_dumps, law_from_dict, law_to_dict, save_law
@@ -83,6 +84,19 @@ class TestExitCodes:
         args = argv.format(law=fair_path, dens=dens).split() + ["--out", str(out)]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("input error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, cap", [
+        ("inf-scan sqrt2 --ladder 100 --step 1e-12", impossibility.MAX_GRID_POINTS),
+        # 1001 window points pass, the 4399-point floor scan does not
+        ("inf-scan 1/7 --ladder 10 --step 0.01", 2000),
+    ])
+    def test_scan_past_point_cap_is_input_error(self, argv, cap, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr(impossibility, "MAX_GRID_POINTS", cap)
+        out = tmp_path / "scan.csv"
+        assert main(argv.split() + ["--out", str(out)]) == 2
+        assert "grid points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_spectral_on_vanishing_cf_is_method_error(self, fair_path, capsys):

@@ -91,6 +91,24 @@ class TestInfScan:
             with pytest.raises(InputError):
                 one_period_floor(Fraction(3, 2), step)
 
+    def test_point_cap_refuses_before_scanning(self, monkeypatch):
+        with pytest.raises(InputError, match="grid points"):
+            inf_scan(SQRT2, [100.0], 1e-12)
+        with pytest.raises(InputError, match="grid points"):
+            one_period_floor(Fraction(3, 2), 1e-12)
+        # at the cap both still scan; one point past it, neither calls the CF
+        monkeypatch.setattr(impossibility, "MAX_GRID_POINTS", 1001)
+        inf_scan(SQRT2, [10.0], 0.01)                       # floor(10/0.01) + 1 points
+        one_period_floor(Fraction(3, 2), 4.0 * math.pi / 1000)  # 1000 cells + 1
+        calls = []
+        monkeypatch.setattr(impossibility, "three_point_cf",
+                            lambda alpha, t: calls.append(t) or np.ones(np.shape(t)))
+        with pytest.raises(InputError):
+            inf_scan(SQRT2, [1.0, 10.01], 0.01)
+        with pytest.raises(InputError):
+            one_period_floor(Fraction(3, 2), 4.0 * math.pi / 1001)
+        assert calls == []
+
     def test_minima_non_increasing_any_alpha(self):
         for alpha in (SQRT2, 0.7, 2.25):
             rep = inf_scan(alpha, [50.0, 200.0, 800.0], 0.02)

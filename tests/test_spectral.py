@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qidlab import charfn
 from qidlab.charfn import CharFn
 from qidlab.dist import convolve, law_from_atoms, point_mass
 from qidlab.errors import SpectralExtractionError
 from qidlab.spectral import (SpectralPair, lattice_spectral_pair,
                              pair_roundtrip_error, reconstruct_cf)
-from conftest import poisson_law
+from conftest import heavy_lattice_law, poisson_law
 
 
 def log_series_weights(p0: float, kmax: int) -> dict[int, float]:
@@ -92,6 +93,24 @@ class TestReconstruct:
         tail = 2.0 * sum(0.5 ** k / k for k in range(K + 1, 400))
         assert err <= tail
         assert tail < 2.0 ** -K
+
+    @pytest.mark.parametrize("make_pair", [
+        lambda: lattice_spectral_pair(heavy_lattice_law(), K=64),
+        lambda: SpectralPair(-0.4, 0.0, 0.7, ((-9, 0.02), (-2, -0.15), (1, 0.3),
+                                              (5, -0.05), (6, 0.01)), 9, 0.0),
+    ], ids=["heavy_lattice_K64", "gapped_signed"])
+    def test_power_table_matches_term_by_term(self, make_pair, monkeypatch):
+        pair = make_pair()
+        ts = np.linspace(-2.0 * math.pi / pair.lattice_b, 2.0 * math.pi / pair.lattice_b, 1501)
+        expo = 1j * pair.drift_gamma * ts
+        for k, lam in pair.signed_atoms:
+            expo = expo + lam * (np.exp(1j * ts * pair.lattice_b * k) - 1.0)
+        ref = np.exp(expo)
+        f = reconstruct_cf(pair)
+        assert np.max(np.abs(f(ts) - ref)) <= 1e-12
+        assert f(ts[7]) == pytest.approx(ref[7], abs=1e-12)
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 100)
+        assert np.max(np.abs(reconstruct_cf(pair)(ts) - ref)) <= 1e-12
 
     def test_drift_alone_cannot_fit_nondegenerate(self, two_thirds_law):
         pair = lattice_spectral_pair(two_thirds_law, K=20)
