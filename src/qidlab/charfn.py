@@ -52,8 +52,9 @@ LATTICE_FILL_MAX = 8
 # the misfit.
 _LATTICE_FIT_ULPS = 16
 
-# Golden-ratio conjugate as scipy's golden-section search uses it.
-_GOLDEN = 0.61803399
+# Equal cells per bracket and step of multisection_polish: one call
+# samples the _SECTIONS - 1 interior nodes of every open bracket.
+_SECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -242,58 +243,55 @@ def _lattice_coeffs(disc: DiscreteLaw) -> tuple[float, float, np.ndarray] | None
     return a, b, np.bincount(ks, weights=disc.masses)
 
 
-def golden_polish(fn, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search over many brackets at once.
+def multisection_polish(fn, a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Minima of fn in many brackets at once by multi-section search.
 
-    fn maps an array of abscissae to an array of values; each step
-    makes one call on all brackets still open. Bracket k is
+    fn maps an array of abscissae to an array of values. Bracket k is
     a[k] < b[k] < c[k] with fn(b) below both ends (checked on fresh
-    values; a bracket failing it returns (b, fn(b))). A bracket stops
-    by scipy's relative rule |x3 - x0| <= REFINE_XTOL * (|x1| + |x2|)
-    or once it no longer shrinks in floating point. Returns the best
-    abscissa and value per bracket, each value an actual evaluation of
-    fn.
+    values in one first call; a bracket failing it returns (b, fn(b))).
+    Each step makes one call on all brackets still open: it samples the
+    _SECTIONS - 1 interior nodes that cut a bracket into _SECTIONS equal
+    cells and keeps the two cells beside the best node, so a bracket
+    shrinks fourfold per step. Its edges are always nodes a cell away
+    from the best one, never a point a few ulps off it whose side
+    rounding noise in fn would decide. A bracket stops by the relative
+    rule hi - lo <= REFINE_XTOL * (|lo| + |hi|) or once it no longer
+    shrinks in floating point. Returns the best abscissa and value seen
+    per bracket, each value an actual evaluation of fn.
     """
     a, b, c = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c))
-    gc = 1.0 - _GOLDEN
-    right = np.abs(c - b) > np.abs(b - a)
-    x_new = np.where(right, b + gc * (c - b), b - gc * (b - a))
-    fa, fb, fc, f_new = np.split(np.asarray(fn(np.concatenate((a, b, c, x_new)))), 4)
+    fa, fb, fc = np.split(np.asarray(fn(np.concatenate((a, b, c)))), 3)
     ok = (fb < fa) & (fb < fc)
-    x0, x3 = a.copy(), c.copy()
-    x1, x2 = np.where(right, b, x_new), np.where(right, x_new, b)
-    f1, f2 = np.where(right, fb, f_new), np.where(right, f_new, fb)
+    lo, hi, x_best, f_best = a.copy(), c.copy(), b.copy(), fb.copy()
     width = np.full(a.size, np.inf)
+    cuts = np.arange(1, _SECTIONS) / _SECTIONS
     live = np.nonzero(ok)[0]
-    # at most ~60 steps shrink a grid bracket to REFINE_XTOL; the cap only
-    # guards brackets stuck on the float grid near x = 0
+    # a scan bracket reaches REFINE_XTOL in 15-20 steps; the cap only
+    # guards brackets shrinking towards x = 0, where the rule never fires
     for _ in range(200):
-        w = x3[live] - x0[live]
-        keep = (w > config.REFINE_XTOL * (np.abs(x1[live]) + np.abs(x2[live]))) & (w < width[live])
+        w = hi[live] - lo[live]
+        keep = (w > config.REFINE_XTOL * (np.abs(lo[live]) + np.abs(hi[live]))) & (w < width[live])
         live, w = live[keep], w[keep]
         if live.size == 0:
             break
         width[live] = w
-        down = f2[live] < f1[live]
-        lo, hi = live[down], live[~down]
-        x0[lo], x1[lo], f1[lo] = x1[lo], x2[lo], f2[lo]
-        x2[lo] = _GOLDEN * x1[lo] + gc * x3[lo]
-        x3[hi], x2[hi], f2[hi] = x2[hi], x1[hi], f1[hi]
-        x1[hi] = _GOLDEN * x2[hi] + gc * x0[hi]
-        f_step = np.asarray(fn(np.concatenate((x2[lo], x1[hi]))))
-        f2[lo], f1[hi] = f_step[:lo.size], f_step[lo.size:]
-    first = f1 < f2
-    x_best = np.where(ok, np.where(first, x1, x2), b)
-    f_best = np.where(ok, np.where(first, f1, f2), fb)
+        nodes = np.column_stack((lo[live], lo[live, None] + w[:, None] * cuts, hi[live]))
+        vals = np.asarray(fn(nodes[:, 1:-1].ravel())).reshape(live.size, _SECTIONS - 1)
+        k = np.argmin(vals, axis=1)
+        rows = np.arange(live.size)
+        lo[live], hi[live] = nodes[rows, k], nodes[rows, k + 2]
+        better = vals[rows, k] < f_best[live]
+        x_best[live[better]] = nodes[rows[better], k[better] + 1]
+        f_best[live[better]] = vals[rows[better], k[better]]
     return x_best, f_best
 
 
 def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> ZeroFreeCertificate:
     """Scan |f| on a uniform grid over [-T, T]; optionally polish the
-    config.REFINE_TOP lowest local minima together by batched golden
-    section (golden_polish, one CF call per step for all of them). The
-    certificate records the smallest modulus seen, grid or polished,
-    and where; it is never above the grid minimum.
+    config.REFINE_TOP lowest local minima together by multi-section
+    search (multisection_polish, one CF call per step for all of them).
+    The certificate records the smallest modulus seen, grid or
+    polished, and where; it is never above the grid minimum.
 
     Characteristic functions of real laws satisfy f(-t) = conj(f(t)),
     so the grid work runs on [0, T] and covers the stated window.
@@ -313,8 +311,8 @@ def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> Z
         cand = interior[is_loc]
         cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
         if cand.size:
-            t_r, v_r = golden_polish(lambda t: np.abs(f(t)),
-                                     ts[cand - 1], ts[cand], ts[cand + 1])
+            t_r, v_r = multisection_polish(lambda t: np.abs(f(t)),
+                                           ts[cand - 1], ts[cand], ts[cand + 1])
             k = int(np.argmin(v_r))
             if v_r[k] < best_v:
                 best_t, best_v = float(t_r[k]), float(v_r[k])
@@ -344,18 +342,69 @@ def decay_window(f: CharFn, threshold: float, t_max: float = config.DECAY_TMAX) 
     return float(ts[below[0]]) + period
 
 
+def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
+    """Roots of fn in many brackets at once by Chandrupatla's method.
+
+    fn maps an array of abscissae to an array of values. Bracket k is
+    [a[k], b[k]] with fa[k], fb[k] nonzero and of opposite signs; only
+    their signs must be right, the magnitudes steer interpolation. Each
+    step makes one call on all brackets still open, at the point a
+    fraction t of the way from the newest point to the other end: t is
+    the inverse-quadratic interpolate through the last three points
+    where that stays well inside the bracket (Chandrupatla 1997,
+    Adv. Eng. Softw. 28(3)), else 1/2, clipped to [tl, 1 - tl] with
+    tl = REFINE_XTOL / (2 * width) so that every step moves at least
+    REFINE_XTOL / 2. A bracket closes when fn is exactly 0 at the new
+    point or its width drops below config.REFINE_XTOL (at most 80
+    steps). Returns the midpoint of each final bracket.
+    """
+    x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
+    f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    # the third point is set by the first (bisection) step before any use
+    x3, f3 = x2.copy(), f2.copy()
+    t = np.full(x1.size, 0.5)
+    live = np.arange(x1.size)
+    for _ in range(80):
+        if live.size == 0:
+            break
+        xt = x1[live] + t[live] * (x2[live] - x1[live])
+        ft = np.asarray(fn(xt))
+        # the new point replaces x1 when it has x1's sign; otherwise x1
+        # becomes the far end. x3 keeps the point that drops out.
+        same = np.sign(ft) == np.sign(f1[live])
+        x3[live] = np.where(same, x1[live], x2[live])
+        f3[live] = np.where(same, f1[live], f2[live])
+        x2[live] = np.where(same, x2[live], x1[live])
+        f2[live] = np.where(same, f2[live], f1[live])
+        x1[live], f1[live] = xt, ft
+        w = np.abs(x2[live] - x1[live])
+        hit = ft == 0.0
+        x2[live[hit]] = xt[hit]
+        done = hit | (w < config.REFINE_XTOL)
+        live, w = live[~done], w[~done]
+        xi = (x1[live] - x2[live]) / (x3[live] - x2[live])
+        phi = (f1[live] - f2[live]) / (f3[live] - f2[live])
+        iqi = (phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        t[live] = 0.5
+        j = live[iqi]
+        t[j] = (f1[j] / (f2[j] - f1[j]) * f3[j] / (f2[j] - f3[j])
+                + (x3[j] - x1[j]) / (x2[j] - x1[j]) * f1[j] / (f3[j] - f1[j]) * f2[j] / (f3[j] - f2[j]))
+        tl = 0.5 * config.REFINE_XTOL / w
+        t[live] = np.clip(t[live], tl, 1.0 - tl)
+    return 0.5 * (x1 + x2)
+
+
 def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
     """Refined roots of Im(f0(t) e^{-it*gamma0}) in [-T, T].
 
     Grid values at rounding level count as roots; sign changes on the
-    grid are polished by bisection, all brackets together: one CF call
-    on the left ends, then one per step on the midpoints of the
-    brackets still open. A bracket closes when its midpoint value is 0
-    or its width drops below config.REFINE_XTOL (at most 80 steps); its
-    midpoint is kept when |Im| there is within 1e-7 of the grid scale.
-    Raises IdenticallyZeroImagError when the imaginary part vanishes on
-    the whole grid (recentered symmetric law), since every t would be a
-    root.
+    grid are polished by bracket_roots, all brackets together, with the
+    end signs taken from the grid values that opened each bracket (a
+    pointwise value at a root on a grid node may disagree in sign). A
+    polished root is kept when |Im| there is within 1e-7 of the grid
+    scale. Raises IdenticallyZeroImagError when the imaginary part
+    vanishes on the whole grid (recentered symmetric law), since every t
+    would be a root.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
@@ -375,22 +424,7 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[flo
     roots = ts[sign == 0].tolist()
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size:
-        a, b = ts[idx], ts[idx + 1]
-        fa = g(a)
-        live = np.arange(idx.size)
-        for _ in range(80):
-            if live.size == 0:
-                break
-            m = 0.5 * (a[live] + b[live])
-            fm = g(m)
-            done = (fm == 0.0) | ((b[live] - a[live]) < config.REFINE_XTOL)
-            left = ~done & ((fa[live] < 0) == (fm < 0))
-            right = ~done & ~left
-            a[live[done]] = b[live[done]] = m[done]
-            a[live[left]], fa[live[left]] = m[left], fm[left]
-            b[live[right]] = m[right]
-            live = live[~done]
-        r = 0.5 * (a + b)
+        r = bracket_roots(g, ts[idx], ts[idx + 1], vals[idx], vals[idx + 1])
         roots.extend(r[np.abs(g(r)) <= 1e-7 * scale].tolist())
     roots.sort()
     out: list[float] = []

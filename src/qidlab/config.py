@@ -34,9 +34,11 @@ LATTICE_REL_TOL = 1e-9
 LOG_MODULUS_FLOOR = 1e-6
 MAX_BRANCH_HALVINGS = 16
 
-# Local refinement of scan minima/roots. REFINE_XTOL is absolute for the
-# root bisection (bracket width) and relative for the golden-section
-# polish of minima (bracket width against |t|).
+# Local refinement of scan roots and minima. REFINE_XTOL is absolute for
+# the root polish (Chandrupatla brackets close below this width, and each
+# step moves at least half of it) and relative for the multi-section
+# polish of minima (bracket width against |lo| + |hi|). REFINE_TOP is
+# the number of lowest grid minima that min_modulus_scan polishes.
 REFINE_XTOL = 1e-12
 REFINE_TOP = 5
 

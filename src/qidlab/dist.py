@@ -90,12 +90,7 @@ class DiscreteLaw:
             return float(locs[0]), 0.0, np.zeros(1, dtype=np.int64)
         diffs = locs[1:] - locs[0]
         tol = config.LATTICE_REL_TOL * float(diffs[-1])
-        g = 0.0
-        for d in diffs:
-            a, b = max(abs(d), g), min(abs(d), g)
-            while b > tol:
-                a, b = b, abs(a - b * round(a / b))
-            g = a
+        g = _approx_gcd(diffs, tol)
         if g <= 0 or g < (diffs[0] * 1e-6):
             return None
         ks = np.round(diffs / g)
@@ -114,6 +109,28 @@ class DiscreteLaw:
         if fit is None:
             raise NotLatticeError("no lattice span fits the support")
         return fit[0], fit[1]
+
+
+def _approx_gcd(diffs: np.ndarray, tol: float) -> float:
+    """Approximate gcd of the increasing positive differences by the
+    Euclid loop below, remainders within tol counting as 0.
+
+    When diffs[0] > tol and every remainder d - diffs[0]*round(d/diffs[0])
+    is within tol, the loop returns diffs[0]: for each d its first step
+    computes exactly that remainder, which ends the step with g
+    unchanged. One vectorised test of that case skips the Python loop
+    for the usual lattice, whose first two atoms are adjacent.
+    """
+    g = float(diffs[0])
+    if g > tol and np.all(np.abs(diffs - g * np.round(diffs / g)) <= tol):
+        return g
+    g = 0.0
+    for d in diffs:
+        a, b = max(abs(d), g), min(abs(d), g)
+        while b > tol:
+            a, b = b, abs(a - b * round(a / b))
+        g = a
+    return float(g)
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charfn import golden_polish
+from .charfn import multisection_polish
 from .errors import InputError
 
 _CHUNK = 1 << 20
@@ -147,17 +147,17 @@ def _grid_min(alpha: float, ts_at, lo: int, hi: int) -> tuple[float, float]:
 
 
 def _polish_keep(alpha: float, v: float, t: float, step: float) -> tuple[float, float]:
-    """Golden polish of |three_point_cf| around the grid minimum (v, t);
+    """Multi-section polish of |three_point_cf| around the grid minimum (v, t);
     returns the polished (value, argmin) if lower, else (v, t)."""
-    x, pv = golden_polish(lambda x: np.abs(three_point_cf(alpha, x)),
-                          max(t - step, 0.0), t, t + step)
+    x, pv = multisection_polish(lambda x: np.abs(three_point_cf(alpha, x)),
+                                max(t - step, 0.0), t, t + step)
     return (float(pv[0]), float(x[0])) if pv[0] < v else (v, t)
 
 
 def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
     """Prefix minima of |three_point_cf(alpha, .)| over [0, T] for each
     T in the increasing ladder, grid-scanned at the given step with a
-    golden polish of the best dip per window."""
+    multi-section polish of the best dip per window."""
     if not (step > 0 and math.isfinite(step)):
         raise InputError("step must be positive and finite")
     ladder = [float(T) for T in ladder]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qidlab.dist import density_from_callable, law_from_atoms, uniform_density
+from qidlab.dist import (density_from_callable, law_from_atoms, mix, point_mass,
+                         restrict_density, uniform_density)
 
 
 @pytest.fixture
@@ -56,3 +57,14 @@ def heavy_lattice_law(n: int = 160, seed: int = 5):
     masses /= masses.sum()
     return law_from_atoms([(0.3 + 1.1 * k, float(m)) for k, m in enumerate(masses)],
                           normalize=True)
+
+
+def case_1b_law():
+    """(law, gamma): mixture case 1b of approximate_mixture on the uniform
+    law on [0, 1], an atom of weight 0.3 at the centre node 0.5 and the
+    density re-truncated one node short of 1. Im(f e^{-it*0.5}) vanishes
+    at rounding level on grid nodes 2*pi*k of the root scan, where the
+    grid value and a pointwise value can differ in sign."""
+    U = uniform_density(0.0, 1.0)
+    F_hat, _ = restrict_density(U, 0.0, 1.0 - U.continuous.grid_step)
+    return mix(0.3, point_mass(0.5), F_hat), 0.5

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qidlab import charfn
-from qidlab.charfn import (CharFn, decay_window, distinguished_log, golden_polish,
-                           imag_zero_scan, min_modulus_scan)
+from qidlab import charfn, config
+from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
+                           min_modulus_scan, multisection_polish)
 from qidlab.dist import (continuous_bernoulli, convolve, law_from_atoms, mix,
                          point_mass, uniform_density)
 from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                            WindowError, ZeroOnPathError)
 from qidlab.pipelines import approximate_abs_cont
-from conftest import heavy_lattice_law, poisson_law
+from qidlab.zerofree import _root_scan_step
+from conftest import case_1b_law, heavy_lattice_law, poisson_law
 
 
 class TestEval:
@@ -220,24 +221,27 @@ class TestMinModulusScan:
             assert cert.min_modulus <= grid.min()
 
 
-class TestGoldenPolish:
+class TestMultisectionPolish:
     def test_known_minima_in_one_batch(self):
         # a V-shaped minimum, as |f| has at a real zero of f
         fn = lambda x: np.abs(np.sin(x - 0.3))
         want = 0.3 + math.pi * np.arange(1, 4)
-        x, v = golden_polish(fn, want - 0.4, want + 0.05, want + 0.3)
+        x, v = multisection_polish(fn, want - 0.4, want + 0.05, want + 0.3)
         assert np.max(np.abs(x - want)) < 1e-10
         assert np.array_equal(v, fn(x))
 
     def test_one_call_per_step(self):
         calls = []
         fn = lambda x: calls.append(np.size(x)) or (x - 1.0) ** 2
-        golden_polish(fn, np.array([0.0, 0.5]), np.array([0.9, 0.95]), np.array([2.0, 1.5]))
-        assert calls[0] == 8 and max(calls[1:]) <= 2 and len(calls) < 80
+        multisection_polish(fn, np.array([0.0, 0.5]), np.array([0.9, 0.95]), np.array([2.0, 1.5]))
+        # 3 points per bracket first, then at most 7 per bracket; each step
+        # shrinks a bracket fourfold, and the width-2 bracket needs 20 steps
+        # to reach the relative stop at x = 1
+        assert calls[0] == 6 and max(calls[1:]) <= 14 and len(calls) <= 21
 
     def test_non_bracket_returns_middle(self):
         fn = lambda x: (x - 5.0) ** 2
-        x, v = golden_polish(fn, [0.0, 4.0], [1.0, 4.9], [2.0, 6.0])
+        x, v = multisection_polish(fn, [0.0, 4.0], [1.0, 4.9], [2.0, 6.0])
         assert x[0] == 1.0 and v[0] == 16.0
         assert abs(x[1] - 5.0) < 1e-10
 
@@ -261,6 +265,40 @@ class TestDecayWindow:
             decay_window(CharFn(uniform01), 1e-9, t_max=50.0)
 
 
+def grid_sign_bisection(f0, gamma0, T, step):
+    """Oracle for imag_zero_scan: bisect each sign change of the same
+    grid alone with scalar CF calls, the end signs taken from the grid."""
+    g = lambda t: float(np.imag(f0(t) * np.exp(-1j * gamma0 * t)))
+    n = int(math.ceil(T / step))
+    ts = step * np.arange(-n, n + 1)
+    vals = np.imag(f0.eval_grid(-n * step, step, 2 * n + 1) * np.exp(-1j * gamma0 * ts))
+    scale = float(np.max(np.abs(vals)))
+    sign = np.sign(vals)
+    sign[np.abs(vals) <= 1e-12 * scale] = 0
+    roots = [float(t) for t in ts[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        a, b = float(ts[i]), float(ts[i + 1])
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            fm = g(m)
+            if fm == 0.0 or (b - a) < config.REFINE_XTOL:
+                a = b = m
+                break
+            if (sign[i] < 0) == (fm < 0):
+                a = m
+            else:
+                b = m
+        r = 0.5 * (a + b)
+        if abs(g(r)) <= 1e-7 * scale:
+            roots.append(r)
+    roots.sort()
+    out = []
+    for r in roots:
+        if not out or r - out[-1] > 10 * config.REFINE_XTOL:
+            out.append(r)
+    return out
+
+
 class TestImagZeroScan:
     def test_fair_bernoulli_roots(self, fair_bernoulli):
         roots = imag_zero_scan(CharFn(fair_bernoulli), 0.0, 4.0, 0.05)
@@ -282,7 +320,32 @@ class TestImagZeroScan:
                             lambda self, t: calls.append(np.size(t)) or orig(self, t))
         roots = imag_zero_scan(f, 0.3, 2.0 * math.pi / 1.1, 0.0022)
         assert len(roots) > 100
-        assert len(calls) <= 82
+        # five interpolation steps and the acceptance call, one step of slack
+        assert len(calls) <= 7
+
+    def test_roots_on_grid_nodes_kept(self):
+        # Im(f e^{-it*gamma}) is odd in t, so its roots come in pairs +-t;
+        # here the roots at +-2*pi*k sit on grid nodes at rounding level
+        law, gamma = case_1b_law()
+        roots = np.array(imag_zero_scan(CharFn(law), gamma, 40.0, _root_scan_step(law, gamma)))
+        assert len(roots) == 13
+        assert np.max(np.abs(np.sort(roots) + np.sort(roots)[::-1])) < 1e-9
+
+    def test_roots_match_scalar_bisection(self, skewed_two_atom, truncated_normal):
+        # the roots of the case-1b law sit where |Im| is at rounding level
+        # (~3e-15 against a slope of ~3e-4), so the computed function
+        # changes sign anywhere within ~1e-11 of them
+        cases = [(skewed_two_atom, 0.0, 7.0, config.REFINE_XTOL),
+                 (heavy_lattice_law(), 0.3, 2.0 * math.pi / 1.1, config.REFINE_XTOL),
+                 (mix(0.4, skewed_two_atom, truncated_normal), 0.0, 12.0, config.REFINE_XTOL),
+                 (*case_1b_law(), 40.0, 1e-10)]
+        for law, gamma, T, tol in cases:
+            f = CharFn(law)
+            step = _root_scan_step(law, gamma)
+            got = imag_zero_scan(f, gamma, T, step)
+            want = grid_sign_bisection(f, gamma, T, step)
+            assert len(got) == len(want) > 0
+            assert np.max(np.abs(np.array(got) - np.array(want))) <= tol
 
     def test_symmetric_recentered_is_flagged(self, fair_bernoulli):
         with pytest.raises(IdenticallyZeroImagError):

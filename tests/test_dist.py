@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qidlab import dist
 from qidlab.dist import (Atom, DensityLaw, DiscreteLaw, Law, continuous_bernoulli,
                          convolve, is_shift_symmetric, l1_modulus, law_from_atoms,
                          mix, point_mass, restrict_density, shift_scale,
@@ -70,6 +71,38 @@ class TestTypes:
         bad = law_from_atoms([(1.0, 1 / 3), (alpha, 1 / 3), (1 + alpha, 1 / 3)])
         with pytest.raises(NotLatticeError):
             bad.discrete.lattice_params()
+
+    def test_lattice_fit_matches_euclid_loop(self, monkeypatch):
+        def euclid(diffs, tol):
+            g = 0.0
+            for d in diffs:
+                a, b = max(abs(d), g), min(abs(d), g)
+                while b > tol:
+                    a, b = b, abs(a - b * round(a / b))
+                g = a
+            return float(g)
+
+        rng = np.random.default_rng(7)
+        alpha = math.sqrt(2.0)
+        supports = [
+            [0.3 + 1.1 * k for k in range(160)],             # contiguous
+            [-2.5 + 0.7 * k for k in (0, 1, 4, 5, 9, 30)],   # gapped, first gap one step
+            [0.25 * k for k in (0, 2, 3, 7)],                # first gap two steps
+            [1.0, alpha, 1.0 + alpha],                       # not a lattice
+            sorted(rng.uniform(-3.0, 3.0, 12)),              # not a lattice
+            [4.2],                                           # one atom
+        ]
+        for locs in supports:
+            atoms = [(x, 1.0 / len(locs)) for x in locs]
+            fast = law_from_atoms(atoms, normalize=True).discrete.lattice_fit
+            with monkeypatch.context() as m:
+                m.setattr(dist, "_approx_gcd", euclid)
+                slow = law_from_atoms(atoms, normalize=True).discrete.lattice_fit
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert fast[:2] == slow[:2] and np.array_equal(fast[2], slow[2])
+        assert law_from_atoms([(0.25 * k, 0.25) for k in (0, 2, 3, 7)]).discrete.lattice_fit[1] \
+            == pytest.approx(0.25, abs=1e-15)
 
 
 class TestSupport:

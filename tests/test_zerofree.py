@@ -11,9 +11,39 @@ from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
 from conftest import heavy_lattice_law
 
 
+def scalar_bracket_root(g, a, b, fa, fb):
+    """One bracket alone, one scalar call per step: the Chandrupatla
+    steps of charfn.bracket_roots (inverse-quadratic interpolation or
+    bisection, clipped REFINE_XTOL / 2 inside the bracket)."""
+    x1, x2, f1, f2 = a, b, fa, fb
+    t = 0.5
+    for _ in range(80):
+        xt = x1 + t * (x2 - x1)
+        ft = g(xt)
+        if ft == 0.0:
+            return xt
+        if (ft < 0) == (f1 < 0):
+            x3, f3, x1, f1 = x1, f1, xt, ft
+        else:
+            x3, f3, x2, f2, x1, f1 = x2, f2, x1, f1, xt, ft
+        w = abs(x2 - x1)
+        if w < config.REFINE_XTOL:
+            break
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if phi ** 2 < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        tl = 0.5 * config.REFINE_XTOL / w
+        t = min(max(t, tl), 1.0 - tl)
+    return 0.5 * (x1 + x2)
+
+
 def scalar_bad_delta_set(f0, gamma0, T, step):
-    """Reference: bisect each sign-change bracket alone with scalar CF
-    calls, then map each root with Re < 0 to its bad weight."""
+    """Reference: polish each sign-change bracket alone with scalar CF
+    calls, the end values taken from the grid, then map each root with
+    Re < 0 to its bad weight."""
     g = lambda t: float(np.imag(f0(t) * np.exp(-1j * gamma0 * t)))
     n = int(math.ceil(T / step))
     ts = step * np.arange(-n, n + 1)
@@ -23,19 +53,7 @@ def scalar_bad_delta_set(f0, gamma0, T, step):
     sign[np.abs(vals) <= 1e-12 * scale] = 0
     roots = [float(t) for t in ts[sign == 0]]
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa = g(a)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = g(m)
-            if fm == 0.0 or (b - a) < config.REFINE_XTOL:
-                a = b = m
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        r = 0.5 * (a + b)
+        r = scalar_bracket_root(g, float(ts[i]), float(ts[i + 1]), vals[i], vals[i + 1])
         if abs(g(r)) <= 1e-7 * scale:
             roots.append(r)
     bad = []
