@@ -286,8 +286,8 @@ def multisection_polish(fn, a, b, c) -> tuple[np.ndarray, np.ndarray]:
     return x_best, f_best
 
 
-def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> ZeroFreeCertificate:
-    """Scan |f| on a uniform grid over [-T, T]; optionally polish the
+def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
+    """Scan |f| on a uniform grid over [-T, T] and polish the
     config.REFINE_TOP lowest local minima together by multi-section
     search (multisection_polish, one CF call per step for all of them).
     The certificate records the smallest modulus seen, grid or
@@ -305,17 +305,16 @@ def min_modulus_scan(f: CharFn, T: float, step: float, refine: bool = True) -> Z
     mods = np.abs(f.eval_grid(0.0, step, n + 1))
     i_min = int(np.argmin(mods))
     best_t, best_v = float(ts[i_min]), float(mods[i_min])
-    if refine:
-        interior = np.arange(1, ts.size - 1)
-        is_loc = (mods[interior] <= mods[interior - 1]) & (mods[interior] <= mods[interior + 1])
-        cand = interior[is_loc]
-        cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
-        if cand.size:
-            t_r, v_r = multisection_polish(lambda t: np.abs(f(t)),
-                                           ts[cand - 1], ts[cand], ts[cand + 1])
-            k = int(np.argmin(v_r))
-            if v_r[k] < best_v:
-                best_t, best_v = float(t_r[k]), float(v_r[k])
+    interior = np.arange(1, ts.size - 1)
+    is_loc = (mods[interior] <= mods[interior - 1]) & (mods[interior] <= mods[interior + 1])
+    cand = interior[is_loc]
+    cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
+    if cand.size:
+        t_r, v_r = multisection_polish(lambda t: np.abs(f(t)),
+                                       ts[cand - 1], ts[cand], ts[cand + 1])
+        k = int(np.argmin(v_r))
+        if v_r[k] < best_v:
+            best_t, best_v = float(t_r[k]), float(v_r[k])
     return ZeroFreeCertificate(window_T=float(n * step), grid_step=step,
                                min_modulus=best_v, argmin_t=best_t)
 
@@ -426,20 +425,23 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[flo
     if idx.size:
         r = bracket_roots(g, ts[idx], ts[idx + 1], vals[idx], vals[idx + 1])
         roots.extend(r[np.abs(g(r)) <= 1e-7 * scale].tolist())
-    roots.sort()
+    return _merge_close(roots)
+
+
+def _merge_close(values, tol: float = max(10 * config.REFINE_XTOL, 1e-12)) -> list[float]:
+    """values sorted, each dropped within tol of the last one kept."""
     out: list[float] = []
-    for r in roots:
-        if not out or r - out[-1] > max(10 * config.REFINE_XTOL, 1e-12):
-            out.append(r)
+    for v in sorted(values):
+        if not out or v - out[-1] > tol:
+            out.append(v)
     return out
 
 
-def _track_branch(fn, T: float, step: float, floor: float,
-                  max_halvings: int = config.MAX_BRANCH_HALVINGS) -> tuple[np.ndarray, np.ndarray]:
+def _track_branch(fn, T: float, step: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Continuous log of fn over [0, T], halving the step until each
     increment of log is below pi/2."""
     cur = step
-    for _ in range(max_halvings + 1):
+    for _ in range(config.MAX_BRANCH_HALVINGS + 1):
         n = int(round(T / cur))
         ts = np.linspace(0.0, n * cur, n + 1)
         vals = np.asarray(fn(ts), dtype=complex)

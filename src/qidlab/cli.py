@@ -68,7 +68,7 @@ def cmd_check_zero_free(args, cfg: RunConfig) -> int:
     law = load_law(args.input)
     T = args.window if args.window is not None else cfg.scan_window
     step = args.step if args.step is not None else cfg.scan_step
-    cert = min_modulus_scan(CharFn(law), T, step, refine=True)
+    cert = min_modulus_scan(CharFn(law), T, step)
     verdict = ("zero found" if cert.min_modulus < config.ZERO_VERDICT_TOL
                else "zero-free at resolution")
     payload = certificate_to_dict(cert)

@@ -185,7 +185,7 @@ def approximate_lattice(F: Law, eps: float) -> ApproxResult:
     if len(F.discrete.atoms) == 1:
         # degenerate laws are already representable: identity approximant
         loc = F.discrete.atoms[0].location
-        cert = min_modulus_scan(CharFn(F), 2.0 * math.pi, 2.0 * math.pi / 256, refine=False)
+        cert = min_modulus_scan(CharFn(F), 2.0 * math.pi, 2.0 * math.pi / 256)
         params = {"gamma_eps": loc, "delta_eps": 0.0, "K1": 0, "K2": 0,
                   "q1_eps": 0.0, "q2_eps": 0.0}
         return ApproxResult(F, eps, params, 0.0, 4.0 * eps, 0.0, cert)

@@ -1,27 +1,24 @@
 """Spectral pairs of zero-free lattice laws: signed compound-Poisson
 parametrization of the exponent of the characteristic function.
 
-For a lattice law on a + b*Z whose CF has no real zeros, the
-distinguished logarithm over one period splits into a linear drift and
-a periodic part; the Fourier coefficients of the periodic part are the
-signed atom weights lambda_k at lattice points b*k, so that
-
-    log f(t) = i*gamma*t + sum_k lambda_k * (exp(i*t*b*k) - 1).
-
-Extraction is a discrete Fourier sum over one period of the tracked
-branch; weights decay geometrically whenever min |f| > 0, so a modest
-truncation order reaches float accuracy for desk-scale laws.
+A lattice law on a + b*Z has the CF f(t) = e^{ita} P(e^{itb}) with
+P(z) = sum_k c_k z^k. If P has no zero on |z| = 1, the Fourier
+coefficients of log P(e^{i*theta}) - i*w*theta, w the winding of P, are
+the signed weights lambda_k at lattice points b*k (Lindner, Pan & Sato,
+Trans. AMS 2018): log f(t) = i*gamma*t + sum_k lambda_k (e^{itbk} - 1)
+with gamma = a + w*b. P over one period and the weights are both FFTs
+on the same nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import config
-from .charfn import CharFn, _blocked, _power_sum, _track_branch, min_modulus_scan
+from .charfn import BLOCK_ENTRIES, CharFn, _blocked, _power_sum
 from .dist import Law
 from .errors import InputError, LawShapeError, SpectralExtractionError
 
@@ -77,56 +74,54 @@ def lattice_spectral_pair(F: Law, K: int = 64,
                           min_modulus_floor: float = config.LOG_MODULUS_FLOOR) -> SpectralPair:
     """Extract the spectral pair of a zero-free lattice law.
 
-    Scans one CF period first; a minimum below min_modulus_floor means
-    the pair is not extractable (laws with vanishing CF have none).
-    The drift picks up the branch winding over one period, so it always
-    lands on the lattice of the law itself.
+    P is sampled at n nodes of one period, n a power of two from
+    max(256, 8K, 4*len(c)). Between nodes |P| drops by at most
+    (pi/n) * sum_k |k - kbar| c_k (kbar the mean index), so n doubles
+    until the grid minimum less that slack clears min_modulus_floor and
+    every log increment is below pi/2; a node at or below the floor, or
+    n past BLOCK_ENTRIES, rejects the law. The drift picks up the
+    branch winding, so it lands on the law's lattice.
     """
     if K < 0:
         raise InputError("truncation order K must be nonnegative")
     if not F.is_pure_discrete:
         raise LawShapeError("spectral extraction needs a pure lattice law")
     a, b = F.discrete.lattice_params()
+    c = np.bincount(F.discrete.lattice_fit[2], weights=F.discrete.masses)
     if b == 0.0:
         b = 1.0  # degenerate law: span is conventional
     period = 2.0 * math.pi / b
-    f = CharFn(F)
-    cert = min_modulus_scan(f, period, period / config.SCAN_CELLS, refine=True)
-    if cert.min_modulus <= min_modulus_floor:
-        raise SpectralExtractionError(
-            f"not extractable: CF modulus falls to {cert.min_modulus:.3e} "
-            f"near t={cert.argmin_t:.6g}")
-
+    ks = np.arange(c.size)
+    slack = math.pi * float(np.abs(ks - ks @ c / c.sum()) @ c)
     n_nodes = max(256, 8 * K)
-    fn = lambda ts: f(np.asarray(ts)) * np.exp(-1j * a * np.asarray(ts, dtype=float))
-    ts, logs = _track_branch(fn, period, period / n_nodes,
-                             floor=0.5 * cert.min_modulus)
-    stride = round((len(ts) - 1) / n_nodes)
-    coarse = logs[::stride]
-    winding = round(float(coarse[-1].imag) / (2.0 * math.pi))
-    if abs(coarse[-1] - 2j * math.pi * winding) > 1e-6:
-        raise SpectralExtractionError(
-            "branch does not close to an integer winding over one period")
-    t_nodes = ts[::stride][:n_nodes]
-    periodic = coarse[:n_nodes] - 1j * winding * b * t_nodes
-    coeff = np.fft.fft(periodic) / n_nodes
-    gamma = a + winding * b
-
-    atoms: list[tuple[int, float]] = []
-    for k in range(1, K + 1):
-        for idx, kk in ((k, k), (n_nodes - k, -k)):
-            lam = float(coeff[idx].real)
-            if abs(lam) > PRUNE_TOL:
-                atoms.append((kk, lam))
-    atoms.sort()
-
-    pair = SpectralPair(drift_gamma=gamma, lattice_a=a, lattice_b=b,
-                        signed_atoms=tuple(atoms), truncation_K=K, residual=0.0)
+    n = 1 << (max(n_nodes, 4 * c.size) - 1).bit_length()
+    while True:
+        if n > BLOCK_ENTRIES:
+            raise SpectralExtractionError(
+                f"not extractable: floor {min_modulus_floor:.3e} unproved on {BLOCK_ENTRIES} nodes")
+        vals = n * np.fft.ifft(c, n)
+        mods = np.abs(vals)
+        j = int(np.argmin(mods))
+        if mods[j] <= min_modulus_floor:
+            raise SpectralExtractionError(
+                f"not extractable: CF modulus falls to {mods[j]:.3e} near t={period * j / n:.6g}")
+        if mods[j] - slack / n > min_modulus_floor:
+            steps_log = np.log(np.roll(vals, -1) / vals)
+            if float(np.max(np.abs(steps_log))) < 0.5 * math.pi:
+                break
+        n *= 2
+    # the n ratios close a cycle, so the branch ends at 2*pi*i*winding
+    branch = np.cumsum(steps_log)
+    winding = round(float(branch[-1].imag) / (2.0 * math.pi))
+    theta = 2.0 * math.pi * np.arange(n) / n
+    coeff = np.fft.fft(np.log(vals[0]) + branch - steps_log - 1j * winding * theta) / n
+    idx = np.r_[-K:0, 1:K + 1]
+    atoms = tuple((int(k), float(lam)) for k, lam in zip(idx, coeff[idx].real)
+                  if abs(lam) > PRUNE_TOL)
+    pair = SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
+                        signed_atoms=atoms, truncation_K=K, residual=0.0)
     grid = np.linspace(0.0, period, 4 * n_nodes + 1)
-    residual = pair_roundtrip_error(F, pair, grid)
-    return SpectralPair(drift_gamma=gamma, lattice_a=a, lattice_b=b,
-                        signed_atoms=tuple(atoms), truncation_K=K,
-                        residual=residual)
+    return replace(pair, residual=pair_roundtrip_error(F, pair, grid))
 
 
 def pair_roundtrip_error(F: Law, pair: SpectralPair, grid) -> float:

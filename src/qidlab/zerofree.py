@@ -11,12 +11,13 @@ certifies the resulting mixture by a minimum-modulus scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import config
-from .charfn import CharFn, ZeroFreeCertificate, decay_window, imag_zero_scan, min_modulus_scan
+from .charfn import (CharFn, ZeroFreeCertificate, _merge_close, decay_window, imag_zero_scan,
+                     min_modulus_scan)
 from .dist import Law, is_shift_symmetric, mix, point_mass, support_info
 from .errors import InputError, SelectionUnverifiableError, WindowError
 
@@ -103,14 +104,6 @@ def _root_scan_step(F0: Law, gamma0: float) -> float:
     return math.pi / (8.0 * extent)
 
 
-def _check_center_precondition(F0: Law, gamma0: float) -> None:
-    info = support_info(F0)
-    if is_shift_symmetric(F0) and abs(gamma0 - info.cext) <= config.SHIFT_SYMMETRY_TOL:
-        raise InputError(
-            "gamma0 equals the support center of a shift-symmetric law; "
-            "the imaginary part of the recentered CF vanishes identically")
-
-
 def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
     """Mixing weights delta' at which the mixture CF can vanish.
 
@@ -118,17 +111,29 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
     Re f1(t') < 0, the weight delta' = -Re f1(t') / (1 - Re f1(t'))
     (always in (0,1)) is the unique one killing the mixture at t'.
     Returns the deduplicated sorted list over roots found in [-T, T].
+
+    Roots giving the same weight are folded onto one first: t and -t,
+    as f1(-t) = conj f1(t), and for a pure lattice law on a + b*Z with
+    gamma0 on its lattice also t and 2*pi/b - t, as f1 then has period
+    2*pi/b. Folded roots merge as in imag_zero_scan.
     """
-    _check_center_precondition(f0.law, gamma0)
-    roots = np.array(imag_zero_scan(f0, gamma0, T, step))
+    law = f0.law
+    centre = support_info(law).cext
+    if is_shift_symmetric(law) and abs(gamma0 - centre) <= config.SHIFT_SYMMETRY_TOL:
+        raise InputError(
+            "gamma0 equals the support center of a shift-symmetric law; "
+            "the imaginary part of the recentered CF vanishes identically")
+    roots = np.abs(imag_zero_scan(f0, gamma0, T, step))
+    fit = law.discrete.lattice_fit if law.is_pure_discrete else None
+    if fit is not None and fit[1] > 0:
+        m = (gamma0 - fit[0]) / fit[1]
+        if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit[2][-1]:
+            period = 2.0 * math.pi / fit[1]
+            roots = np.minimum(roots % period, period - roots % period)
+    roots = np.array(_merge_close(roots))
     re = (f0(roots) * np.exp(-1j * gamma0 * roots)).real
     re = re[re < -1e-15]
-    bad = sorted((-re / (1.0 - re)).tolist())
-    out: list[float] = []
-    for d in bad:
-        if not out or d - out[-1] > 1e-12:
-            out.append(d)
-    return out
+    return _merge_close((-re / (1.0 - re)).tolist(), 1e-12)
 
 
 def _candidate_ladder(bad: list[float], tau: float) -> list[float]:
@@ -153,7 +158,6 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
-    _check_center_precondition(F0, gamma0)
     fa = CharFn(Law(0.0, None, F0.continuous)) if F0.continuous is not None else None
     T0, _, _ = _scan_params(F0, gamma0, delta_hint=0.5 * tau, fa=fa,
                             cap=config.BADSET_WINDOW)
@@ -164,9 +168,7 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
         T, step, tail = _scan_params(F0, gamma0, delta_hint=delta, fa=fa)
-        cert = min_modulus_scan(CharFn(mixture), T, step, refine=True)
-        cert = ZeroFreeCertificate(cert.window_T, cert.grid_step,
-                                   cert.min_modulus, cert.argmin_t, tail_bound=tail)
+        cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
         last_min = max(last_min, cert.min_modulus)
         if cert.min_modulus > config.CERTIFICATE_FLOOR:
             return DeltaSelection(delta=delta, bad_deltas=tuple(bad),

@@ -239,7 +239,7 @@ def test_criterion_8_property_suites():
         cert = min_modulus_scan(CharFn(res.approximant), period, period / 4096)
         ok = ok and cert.min_modulus > 0.0
     for law in (FAIR, law_from_atoms([(float(k), 0.25) for k in range(4)])):
-        cert = min_modulus_scan(CharFn(law), period, period / 4096, refine=True)
+        cert = min_modulus_scan(CharFn(law), period, period / 4096)
         ok = ok and cert.min_modulus < 1e-8
         try:
             lattice_spectral_pair(law, K=16)

@@ -186,12 +186,12 @@ class TestMinModulusScan:
         assert cert.min_modulus == pytest.approx(1.0, abs=1e-12)
 
     def test_fair_bernoulli_zero_found(self, fair_bernoulli):
-        cert = min_modulus_scan(CharFn(fair_bernoulli), 4.0, 0.01, refine=True)
+        cert = min_modulus_scan(CharFn(fair_bernoulli), 4.0, 0.01)
         assert cert.min_modulus < 1e-8
         assert abs(abs(cert.argmin_t) - math.pi) < 1e-6
 
     def test_two_thirds_floor(self, two_thirds_law):
-        cert = min_modulus_scan(CharFn(two_thirds_law), 4.0, 0.01, refine=True)
+        cert = min_modulus_scan(CharFn(two_thirds_law), 4.0, 0.01)
         assert cert.min_modulus == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert abs(abs(cert.argmin_t) - math.pi) < 1e-6
 
@@ -204,8 +204,8 @@ class TestMinModulusScan:
     def test_lattice_periodicity(self, skewed_two_atom):
         f = CharFn(skewed_two_atom)
         period = 2.0 * math.pi
-        m1 = min_modulus_scan(f, period, 0.005, refine=True).min_modulus
-        m3 = min_modulus_scan(f, 3 * period, 0.005, refine=True).min_modulus
+        m1 = min_modulus_scan(f, period, 0.005).min_modulus
+        m3 = min_modulus_scan(f, 3 * period, 0.005).min_modulus
         assert m1 == pytest.approx(m3, abs=1e-9)
 
     def test_rejects_bad_args(self, fair_bernoulli):
@@ -216,7 +216,7 @@ class TestMinModulusScan:
         for law in (skewed_two_atom, uniform01, mix(0.3, skewed_two_atom, uniform01),
                     heavy_lattice_law()):
             f = CharFn(law)
-            cert = min_modulus_scan(f, 12.0, 0.03, refine=True)
+            cert = min_modulus_scan(f, 12.0, 0.03)
             grid = np.abs(f.eval_grid(0.0, 0.03, int(math.ceil(12.0 / 0.03)) + 1))
             assert cert.min_modulus <= grid.min()
 

@@ -96,8 +96,7 @@ class TestFact1Consistency:
         for law in (fair_bernoulli, skewed_two_atom, geometric_law()):
             for eps in (0.2, 0.05):
                 res = approximate_lattice(law, eps)
-                cert = min_modulus_scan(CharFn(res.approximant), period,
-                                        period / 4096, refine=True)
+                cert = min_modulus_scan(CharFn(res.approximant), period, period / 4096)
                 assert cert.min_modulus > 0.0
                 # the spectral pair exists; weight decay slows as the
                 # certificate minimum shrinks, so compare truncations
@@ -113,7 +112,7 @@ class TestFact1Consistency:
         vanishing = [fair_bernoulli,
                      law_from_atoms([(float(k), 0.25) for k in range(4)])]
         for law in vanishing:
-            cert = min_modulus_scan(CharFn(law), period, period / 4096, refine=True)
+            cert = min_modulus_scan(CharFn(law), period, period / 4096)
             assert cert.min_modulus < 1e-8
             with pytest.raises(SpectralExtractionError):
                 lattice_spectral_pair(law, K=16)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from qidlab import charfn
 from qidlab.charfn import CharFn
 from qidlab.dist import convolve, law_from_atoms, point_mass
 from qidlab.errors import SpectralExtractionError
+from qidlab.pipelines import approximate_lattice
 from qidlab.spectral import (SpectralPair, lattice_spectral_pair,
                              pair_roundtrip_error, reconstruct_cf)
 from conftest import heavy_lattice_law, poisson_law
@@ -48,6 +50,44 @@ class TestExtraction:
     def test_vanishing_cf_rejected(self, fair_bernoulli):
         with pytest.raises(SpectralExtractionError):
             lattice_spectral_pair(fair_bernoulli, K=10)
+
+    def test_zero_between_nodes_rejected(self):
+        # P(z) = 0.4 + 0.2z + 0.4z^2 vanishes at cos(theta) = -1/4, which
+        # no power-of-two grid of one period hits
+        law = law_from_atoms([(0.0, 0.4), (1.0, 0.2), (2.0, 0.4)])
+        t0 = time.perf_counter()
+        with pytest.raises(SpectralExtractionError):
+            lattice_spectral_pair(law, K=10)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_smoothed_profile_approximant(self, seed):
+        # 200-atom smoothed profile: the sampled-floor extraction raised
+        # ZeroOnPathError on these approximants
+        rng = np.random.default_rng(seed)
+        prof = np.convolve(rng.gamma(2.0, size=200), np.ones(9) / 9.0, mode="same") + 0.05
+        law = law_from_atoms([(float(k), float(m)) for k, m in enumerate(prof / prof.sum())],
+                             normalize=True)
+        F = approximate_lattice(law, 0.05).approximant
+        pair = lattice_spectral_pair(F, K=64)
+        fine = pair_roundtrip_error(F, pair, np.linspace(0.0, 2 * math.pi, 8 * 512 + 1))
+        assert pair.residual - 1e-12 <= fine <= 1.5 * pair.residual
+
+    def test_weights_match_fine_fft(self):
+        # lambda_k from an independent 2^18-node FFT of the unwrapped log P
+        law = heavy_lattice_law()
+        pair = lattice_spectral_pair(law, K=64)
+        n = 1 << 18
+        # the atoms fill 0.3 + 1.1*{0..159}, so the masses are P's coefficients
+        vals = n * np.fft.ifft(law.discrete.masses, n)
+        theta = 2 * math.pi * np.arange(n) / n
+        phase = np.unwrap(np.angle(vals))
+        winding = round(phase[-1] / (2 * math.pi))
+        ref = np.fft.fft(np.log(np.abs(vals)) + 1j * (phase - winding * theta)) / n
+        atoms = dict(pair.signed_atoms)
+        for k in range(1, 65):
+            assert atoms.get(k, 0.0) == pytest.approx(ref[k].real, abs=1e-11)
+            assert atoms.get(-k, 0.0) == pytest.approx(ref[n - k].real, abs=1e-11)
 
     def test_winding_law_drift_on_lattice(self):
         # {0: 1/3, 1: 2/3}: the branch winds once, drift = a + b

@@ -40,10 +40,12 @@ def scalar_bracket_root(g, a, b, fa, fb):
     return 0.5 * (x1 + x2)
 
 
-def scalar_bad_delta_set(f0, gamma0, T, step):
+def scalar_bad_delta_set(f0, gamma0, T, step, period=None):
     """Reference: polish each sign-change bracket alone with scalar CF
-    calls, the end values taken from the grid, then map each root with
-    Re < 0 to its bad weight."""
+    calls, the end values taken from the grid, fold each root t to |t|
+    (and, given the period of f0 e^{-it gamma0}, to the nearer of
+    t mod period and period - t mod period), merge folded roots within
+    1e-11, then map each root with Re < 0 to its bad weight."""
     g = lambda t: float(np.imag(f0(t) * np.exp(-1j * gamma0 * t)))
     n = int(math.ceil(T / step))
     ts = step * np.arange(-n, n + 1)
@@ -56,8 +58,18 @@ def scalar_bad_delta_set(f0, gamma0, T, step):
         r = scalar_bracket_root(g, float(ts[i]), float(ts[i + 1]), vals[i], vals[i + 1])
         if abs(g(r)) <= 1e-7 * scale:
             roots.append(r)
-    bad = []
+    folded = []
     for t in roots:
+        t = abs(t)
+        if period is not None:
+            t = min(t % period, period - t % period)
+        folded.append(t)
+    merged = []
+    for t in sorted(folded):
+        if not merged or t - merged[-1] > 1e-11:
+            merged.append(t)
+    bad = []
+    for t in merged:
         re = (f0(t) * np.exp(-1j * gamma0 * t)).real
         if re < -1e-15:
             bad.append(-re / (1.0 - re))
@@ -93,16 +105,25 @@ class TestBadDeltaSet:
 
     def test_batched_matches_scalar_reference(self, skewed_two_atom, truncated_normal):
         heavy = heavy_lattice_law()
-        cases = [(skewed_two_atom, 0.0, 7.0),
-                 (heavy, 0.3, 2.0 * math.pi / 1.1),
-                 (mix(0.4, skewed_two_atom, truncated_normal), 0.0, 12.0)]
-        for law, gamma, T in cases:
+        cases = [(skewed_two_atom, 0.0, 7.0, 2.0 * math.pi),
+                 (heavy, 0.3, 2.0 * math.pi / 1.1, 2.0 * math.pi / 1.1),
+                 (mix(0.4, skewed_two_atom, truncated_normal), 0.0, 12.0, None)]
+        for law, gamma, T, period in cases:
             f = CharFn(law)
             step = _root_scan_step(law, gamma)
             got = bad_delta_set(f, gamma, T, step)
-            want = scalar_bad_delta_set(f, gamma, T, step)
+            want = scalar_bad_delta_set(f, gamma, T, step, period)
             assert len(got) == len(want) > 0
             assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+
+    def test_mirror_roots_give_one_weight(self):
+        # t and 2*pi/b - t give the same weight; polished apart, their
+        # weights used to land 1-2e-12 apart and both were listed
+        law = heavy_lattice_law()
+        period = 2.0 * math.pi / 1.1
+        bad = bad_delta_set(CharFn(law), 0.3, period, _root_scan_step(law, 0.3))
+        assert len(bad) > 1
+        assert np.min(np.diff(bad)) >= 1e-9
 
     def test_symmetric_center_precondition(self, fair_bernoulli):
         with pytest.raises(InputError):
