@@ -7,15 +7,18 @@ width h at node x is h * exp(itx) * sinc(th/2)^2, so the value is exact
 for the represented law and no oscillatory quadrature is needed.
 
 Points on a uniform grid x0 + k*h (lattice atoms, density nodes) are
-summed as a polynomial in z = exp(ith):
-
-    sum_k c_k exp(it(x0 + kh)) = exp(itx0) * (V(z) @ c),
-
-with V the power table [1, z, z^2, ...] built by repeated
-multiplication and c the dense coefficients (zero at lattice gaps).
-Each t then costs two complex exponentials instead of one per point.
-Atoms off a lattice, or on a lattice whose coefficient array would be
-much longer than the atom list, keep the dense exp(itx) product.
+summed from one FFT Taylor table of their dense coefficients c (zero
+at lattice gaps), qidlab._fft.TaylorTable: with theta = th, row m
+holds the FFT of c_k (i(k - kc)pi/N)^m / m! on N >= 4*len(c) nodes of
+one period of theta, and M + 1 rows, M the least order whose Taylor
+remainder is below rounding (at most 13), make the table exact to
+rounding at every t. A point then costs a Horner step of order M in
+its offset from the nearest node, whatever the number of terms, and
+grid scans and pointwise polish share the table. The atom table is
+built once per CharFn, the node table once per DensityLaw and shared
+by every CharFn over it. Atoms off a lattice, or on a lattice whose
+coefficient array would be much longer than the atom list, keep the
+dense exp(itx) product.
 """
 
 from __future__ import annotations
@@ -23,30 +26,35 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import config
-from ._fft import czt
+from ._fft import TaylorTable
 from .dist import DiscreteLaw, Law
 from .errors import (BranchTrackingError, IdenticallyZeroImagError, InputError,
                      LawShapeError, WindowError, ZeroOnPathError)
 
 # Complex entries allowed in one block of CF products: blocks of t
-# values get BLOCK_ENTRIES // columns rows, the columns being the
-# power-table terms (degree + 1 for lattice atoms, one per density node)
-# or, on the dense path, the atoms; so memory stays bounded however many
-# points a batched polish asks for at once.
+# values get BLOCK_ENTRIES // columns rows, the columns being the M + 1
+# orders of each Taylor table (lattice atoms, density nodes) or, on the
+# dense path, the atoms; so memory stays bounded however many points a
+# batched polish asks for at once.
 BLOCK_ENTRIES = 1 << 20
 
-# Lattice atoms take the power table when its degree + 1 terms number at
-# most LATTICE_FILL_MAX per atom. On full blocks one dense exp(itx) entry
-# costs 47-79 ns and one power-table entry 5-9 ns from 32 terms up, a
-# ratio of 8.5-11.6 (numpy 2.4, one BLAS thread, 2-core x86 host), so
-# sparser lattices are cheaper on the dense path.
+# Lattice atoms take the Taylor table when its degree + 1 coefficients
+# number at most LATTICE_FILL_MAX per atom. The table holds (M + 1) * N
+# complex entries, N <= 8 * (degree + 1), 0.85-1.2 KB per coefficient,
+# and costs M + 1 FFTs of N points to build; a point then costs 90-200
+# ns against 30-67 ns per atom on the dense path (numpy 2.4, one BLAS
+# thread, shared 2-core x86 host, two runs). At fill 8 the build is
+# repaid within 160-360 points on 20-2000 atoms and the table stays
+# under 10 KB per atom; at fill 64 it takes 1800-5500 points and 55-80
+# KB per atom, so sparser lattices stay on the dense path.
 LATTICE_FILL_MAX = 8
 
-# The power table is used only when a + b*k reproduces every atom to
+# The Taylor table is used only when a + b*k reproduces every atom to
 # within this many ulps of the largest |location|: a lattice fit that
 # holds only at config.LATTICE_REL_TOL would change the CF by t times
 # the misfit.
@@ -93,42 +101,51 @@ class CharFn:
     """Evaluator of t -> integral of exp(itx) dF(x) for a represented law.
 
     Density nodes, and atoms that fit a lattice a + b*k to rounding
-    level with at most LATTICE_FILL_MAX power-table terms per atom, are
-    summed through the power table of z = exp(itb) (module docstring);
-    other atoms through the dense exp(itx) product. All sums run in
-    blocks of t under BLOCK_ENTRIES.
+    level with at most LATTICE_FILL_MAX coefficients per atom, are
+    summed through a Taylor table (module docstring); other atoms
+    through the dense exp(itx) product. All sums run in blocks of t
+    under BLOCK_ENTRIES.
     """
 
     def __init__(self, law: Law):
         self.law = law
         self._w = law.discrete_weight
-        # columns of one block's products: power-table terms or atoms,
-        # plus density nodes
-        self._width = 0
         self._locs = self._lattice = None
         if law.discrete is not None:
             self._locs = law.discrete.locations
             self._masses = law.discrete.masses
             self._lattice = _lattice_coeffs(law.discrete)
-            self._width += self._locs.size if self._lattice is None else self._lattice[2].size
         if law.continuous is not None:
             d = law.continuous
             self._nodes = d.nodes
-            self._node_w = d.grid_step * d.samples
             self._h = d.grid_step
-            self._width += self._nodes.size
         else:
             self._nodes = None
         self._profile: tuple[float, np.ndarray, np.ndarray, float] | None = None
 
+    @cached_property
+    def _atom_table(self) -> TaylorTable:
+        return TaylorTable(*self._lattice)
+
+    @property
+    def _width(self) -> int:
+        """Columns of one block's products: atoms on the dense path, M + 1
+        per Taylor table."""
+        width = 0
+        if self._locs is not None:
+            width += self._locs.size if self._lattice is None else self._atom_table.order + 1
+        if self._nodes is not None:
+            width += self.law.continuous.node_table.order + 1
+        return width
+
     def _atom_sum(self, t: np.ndarray) -> np.ndarray:
         if self._lattice is None:
             return np.exp(1j * np.outer(t, self._locs)) @ self._masses
-        return _power_sum(t, *self._lattice)
+        return self._atom_table(t)
 
     def _node_sum(self, t: np.ndarray) -> np.ndarray:
         kernel = np.sinc(t * self._h / (2.0 * np.pi)) ** 2
-        return kernel * _power_sum(t, self._nodes[0], self._h, self._node_w)
+        return kernel * self.law.continuous.node_table(t)
 
     def _mixed_sum(self, t: np.ndarray) -> np.ndarray:
         acc = np.zeros(t.shape, dtype=complex)
@@ -150,24 +167,9 @@ class CharFn:
         return out if np.ndim(t) else complex(out[0])
 
     def eval_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
-        """CF values on the uniform grid t0 + dt*arange(n).
-
-        The density-part sum over grid nodes at uniformly spaced t is a
-        chirp-z transform, evaluated with FFTs; the result matches the
-        direct sum to ~1e-12 and turns wide scans from O(n*nodes) into
-        O(n log n).
-        """
-        ts = t0 + dt * np.arange(n)
-        out = np.zeros(n, dtype=complex)
-        if self._locs is not None:
-            out += self._w * _blocked(ts, self._atom_sum, self._width)
-        if self._nodes is not None:
-            h = self._h
-            x = self._node_w * np.exp(1j * t0 * h * np.arange(self._nodes.size))
-            X = czt(x, n, np.exp(1j * dt * h))
-            kernel = np.sinc(ts * h / (2.0 * np.pi)) ** 2
-            out += (1.0 - self._w) * kernel * np.exp(1j * ts * self._nodes[0]) * X
-        return out
+        """CF values on the uniform grid t0 + dt*arange(n), from the same
+        tables as __call__."""
+        return _blocked(t0 + dt * np.arange(n), self._mixed_sum, self._width)
 
     def decay_profile(self, t_max: float = config.DECAY_TMAX):
         """Sampled right-tail suprema of the continuous-part modulus.
@@ -203,27 +205,6 @@ def _blocked(t: np.ndarray, part, width: int) -> np.ndarray:
     for lo in range(0, t.size, rows):
         out[lo:lo + rows] = part(t[lo:lo + rows])
     return out
-
-
-def _power_sum(t: np.ndarray, x0: float, step: float, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] exp(it(x0 + k*step)) at each t of the 1-D array,
-    as exp(itx0) * (coeffs @ V) with V[k] = z^k, z = exp(it*step).
-
-    V (coeffs.size x t.size entries) is built by doubling: rows n..2n-1
-    are rows 0..n-1 times z^n. That takes log2(coeffs.size) array
-    products, 2-3 times faster than np.vander's column-by-column
-    accumulation on numpy 2.4, with the same rounding growth of about
-    k ulps at row k.
-    """
-    z = np.exp(1j * step * t)
-    table = np.empty((coeffs.size, t.size), dtype=complex)
-    table[0] = 1.0
-    n, zn = 1, z
-    while n < coeffs.size:
-        m = min(n, coeffs.size - n)
-        np.multiply(table[:m], zn, out=table[n:n + m])
-        n, zn = n + m, zn * zn
-    return np.exp(1j * x0 * t) * (coeffs @ table)
 
 
 def _lattice_coeffs(disc: DiscreteLaw) -> tuple[float, float, np.ndarray] | None:

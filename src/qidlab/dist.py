@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import config
-from ._fft import fftconvolve
+from ._fft import TaylorTable, fftconvolve
 from .errors import InputError, LawShapeError, NotLatticeError
 
 _FLOAT_EPS = float(np.finfo(float).eps)
@@ -171,6 +171,13 @@ class DensityLaw:
     @property
     def nodes(self) -> np.ndarray:
         return self.grid_origin + self.grid_step * np.arange(self.samples.size)
+
+    @cached_property
+    def node_table(self) -> TaylorTable:
+        """Evaluator of sum_i h*s_i*exp(it*x_i) over the nodes x_i, the
+        hat-function CF without its sinc^2 factor; built on first use
+        and shared by every CharFn over this density."""
+        return TaylorTable(self.grid_origin, self.grid_step, self.grid_step * self.samples)
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Piecewise-linear density values, zero outside the grid."""

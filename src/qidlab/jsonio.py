@@ -105,7 +105,7 @@ def certificate_to_dict(cert: ZeroFreeCertificate) -> dict:
 def spectral_pair_to_dict(pair: SpectralPair) -> dict:
     return {"gamma": pair.drift_gamma, "a": pair.lattice_a, "b": pair.lattice_b,
             "atoms": [[int(k), lam] for k, lam in pair.signed_atoms],
-            "residual": pair.residual}
+            "residual": pair.residual, "tail": pair.tail_mass}
 
 
 def approx_result_to_dict(result: ApproxResult) -> dict:

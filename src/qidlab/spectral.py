@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config
-from .charfn import BLOCK_ENTRIES, CharFn, _blocked, _power_sum
+from ._fft import TaylorTable
+from .charfn import BLOCK_ENTRIES, CharFn, _blocked
 from .dist import Law
 from .errors import InputError, LawShapeError, SpectralExtractionError
 
@@ -28,7 +29,12 @@ PRUNE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Drift plus finite signed atomic measure on a lattice."""
+    """Drift plus finite signed atomic measure on a lattice.
+
+    tail_mass is the total variation sum_{|k|>K} |lambda_k| of the
+    weights that the truncation at K drops, as far as the extraction
+    grid resolves them (0 when not measured).
+    """
 
     drift_gamma: float
     lattice_a: float
@@ -36,12 +42,13 @@ class SpectralPair:
     signed_atoms: tuple[tuple[int, float], ...]
     truncation_K: int
     residual: float
+    tail_mass: float = 0.0
 
     def __post_init__(self):
         if not (self.lattice_b > 0):
             raise InputError("lattice span must be positive")
-        if self.truncation_K < 0 or self.residual < 0:
-            raise InputError("truncation order and residual must be nonnegative")
+        if self.truncation_K < 0 or self.residual < 0 or self.tail_mass < 0:
+            raise InputError("truncation order, residual and tail mass must be nonnegative")
         for k, _ in self.signed_atoms:
             if k == 0:
                 raise InputError("signed atoms carry nonzero lattice index only")
@@ -51,19 +58,20 @@ def reconstruct_cf(pair: SpectralPair):
     """Evaluator of exp(i*gamma*t + sum lambda_k (e^{itbk} - 1)): a complex
     for scalar t, an array for array t.
 
-    The sum over k = -K..K is one power-table sum in z = e^{itb}
-    (charfn's lattice path), taken in blocks of t under BLOCK_ENTRIES.
+    The sum over k = -K..K comes from one Taylor table of the signed
+    weights (charfn's lattice path), taken in blocks of t under
+    BLOCK_ENTRIES.
     """
     ks = np.array([k for k, _ in pair.signed_atoms], dtype=np.int64)
     lams = np.array([lam for _, lam in pair.signed_atoms], dtype=float)
     K = int(np.max(np.abs(ks), initial=0))
     coeffs = np.bincount(ks + K, weights=lams, minlength=2 * K + 1)
     lam_sum = math.fsum(lams)
-    b = pair.lattice_b
+    table = TaylorTable(-K * pair.lattice_b, pair.lattice_b, coeffs)
 
     def cf(t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        sums = _blocked(t_arr, lambda tb: _power_sum(tb, -K * b, b, coeffs), coeffs.size)
+        sums = _blocked(t_arr, table, table.order + 1)
         out = np.exp(1j * pair.drift_gamma * t_arr + (sums - lam_sum)).reshape(np.shape(t) or 1)
         return out if np.ndim(t) else complex(out[0])
 
@@ -80,7 +88,8 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     until the grid minimum less that slack clears min_modulus_floor and
     every log increment is below pi/2; a node at or below the floor, or
     n past BLOCK_ENTRIES, rejects the law. The drift picks up the
-    branch winding, so it lands on the law's lattice.
+    branch winding, so it lands on the law's lattice. The weights of
+    the same FFT at K < |k| <= n/2 give the pair's tail_mass.
     """
     if K < 0:
         raise InputError("truncation order K must be nonnegative")
@@ -118,8 +127,9 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     idx = np.r_[-K:0, 1:K + 1]
     atoms = tuple((int(k), float(lam)) for k, lam in zip(idx, coeff[idx].real)
                   if abs(lam) > PRUNE_TOL)
+    tail = math.fsum(np.abs(coeff[K + 1:n - K].real))
     pair = SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
-                        signed_atoms=atoms, truncation_K=K, residual=0.0)
+                        signed_atoms=atoms, truncation_K=K, residual=0.0, tail_mass=tail)
     grid = np.linspace(0.0, period, 4 * n_nodes + 1)
     return replace(pair, residual=pair_roundtrip_error(F, pair, grid))
 

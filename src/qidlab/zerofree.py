@@ -43,7 +43,7 @@ class DeltaSelection:
             raise InputError("certificate must have positive minimum")
 
 
-def _scan_params(F0: Law, gamma0: float, delta_hint: float, fa: CharFn | None,
+def _scan_params(F0: Law, delta_hint: float, fa: CharFn | None,
                  cap: float | None = None) -> tuple[float, float, float | None]:
     """Window and step for scans of delta*e^{it*gamma0} + (1-delta)*f0.
 
@@ -159,7 +159,7 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
     fa = CharFn(Law(0.0, None, F0.continuous)) if F0.continuous is not None else None
-    T0, _, _ = _scan_params(F0, gamma0, delta_hint=0.5 * tau, fa=fa,
+    T0, _, _ = _scan_params(F0, delta_hint=0.5 * tau, fa=fa,
                             cap=config.BADSET_WINDOW)
     bad = bad_delta_set(CharFn(F0), gamma0, T0, _root_scan_step(F0, gamma0))
     last_min = 0.0
@@ -167,7 +167,7 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
         if any(abs(delta - d) < config.DELTA_SEPARATION for d in bad):
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
-        T, step, tail = _scan_params(F0, gamma0, delta_hint=delta, fa=fa)
+        T, step, tail = _scan_params(F0, delta_hint=delta, fa=fa)
         cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
         last_min = max(last_min, cert.min_modulus)
         if cert.min_modulus > config.CERTIFICATE_FLOOR:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qidlab import charfn, config
+from qidlab._fft import TaylorTable
 from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
                            min_modulus_scan, multisection_polish)
 from qidlab.dist import (continuous_bernoulli, convolve, law_from_atoms, mix,
@@ -57,7 +58,8 @@ class TestEval:
     def test_dense_blocks_within_budget(self, monkeypatch, skewed_two_atom, truncated_normal):
         law = mix(0.3, skewed_two_atom, truncated_normal)
         f = CharFn(law)
-        width = 2 + law.continuous.samples.size
+        # one Horner column per Taylor order of the atom and node tables
+        width = f._atom_table.order + 1 + law.continuous.node_table.order + 1
         monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 3 * width)
         rows = []
         for name in ("_atom_sum", "_node_sum"):
@@ -67,8 +69,9 @@ class TestEval:
         f(ts)
         f.continuous_part(ts)
         f.eval_grid(-5.0, 0.1, 100)
-        # __call__ evaluates both parts, continuous_part and eval_grid one each
-        assert sum(rows) == 4 * ts.size and max(rows) <= 3
+        # __call__ and eval_grid evaluate both parts, continuous_part one
+        assert sum(rows) == 5 * ts.size
+        assert max(rows) * width <= charfn.BLOCK_ENTRIES
 
     def test_multiplicativity_discrete(self, fair_bernoulli, skewed_two_atom):
         out = convolve(fair_bernoulli, skewed_two_atom)
@@ -107,8 +110,9 @@ GAPPED = [(-2.7 + 0.35 * k, m) for k, m in zip((0, 1, 4, 5, 9, 17),
 
 
 class TestPowerTable:
-    """Lattice atoms and density nodes go through the power table of
-    z = exp(itb); other atom sets through the dense exp(itx) product."""
+    """Lattice atoms and density nodes go through a Taylor table of
+    their coefficients; other atom sets through the dense exp(itx)
+    product."""
 
     @pytest.mark.parametrize("law", [
         heavy_lattice_law(),
@@ -165,13 +169,14 @@ class TestPowerTable:
         ts = np.linspace(-40.0, 40.0, 301)
         f = CharFn(law)
         ref = (f(ts), f.eval_grid(-40.0, 0.1, 801))
-        cols = 18                                   # degree + 1 > 6 atoms
+        cols = f._atom_table.order + 1              # Horner columns, not 6 atoms
+        assert cols != 6
         budget = 2 * cols + 5
         monkeypatch.setattr(charfn, "BLOCK_ENTRIES", budget)
         entries = []
-        power_sum = charfn._power_sum
-        monkeypatch.setattr(charfn, "_power_sum", lambda t, x0, step, c: (
-            entries.append((t.size, c.size)) or power_sum(t, x0, step, c)))
+        evaluate = TaylorTable.__call__
+        monkeypatch.setattr(TaylorTable, "__call__", lambda table, t: (
+            entries.append((t.size, table.order + 1)) or evaluate(table, t)))
         got = (f(ts), f.eval_grid(-40.0, 0.1, 801))
         assert {c for _, c in entries} == {cols}
         assert max(r * c for r, c in entries) <= budget

@@ -134,6 +134,8 @@ class TestCommands:
         pair = json.loads(out.read_text())
         atoms = {k: v for k, v in pair["atoms"]}
         assert atoms[1] == pytest.approx(0.5, abs=1e-10)
+        # two_thirds_law: |lambda_k| = 2^-k / k beyond K = 20
+        assert pair["tail"] == pytest.approx(sum(0.5 ** k / k for k in range(21, 400)), rel=1e-6)
 
     def test_tv_output(self, fair_path, tmp_path, capsys):
         d0 = tmp_path / "d0.json"

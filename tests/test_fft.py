@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,22 +11,45 @@ import qidlab
 from qidlab import _fft
 
 
-def _direct_czt(x, m, w):
-    j = np.arange(x.size)
-    return np.array([np.sum(x * w ** (j * k)) for k in range(m)])
+def _remainder(c, table, order):
+    """sum_k |c_k| a_k^(order+1) / (order+1)!, a_k = |k - kc| pi/N."""
+    k = np.arange(c.size) - (c.size - 1) // 2
+    a = np.abs(k) * math.pi / table.n_fft
+    return float(np.abs(c) @ a ** (order + 1)) / math.factorial(order + 1)
+
+
+class TestTaylorTable:
+    def test_uniform_lattice_matches_direct_sum(self):
+        # 20 000 coefficients on -50 + 0.005*k: theta = 0.005*t covers
+        # 1.6 periods, and |t*x| <= 5e4 keeps the direct sum itself within
+        # 1e-13 of the exact one (the table lands within 1e-15)
+        n = 20_000
+        c = np.full(n, 1.0 / n)
+        table = _fft.TaylorTable(-50.0, 0.005, c)
+        rng = np.random.default_rng(11)
+        t = np.concatenate((rng.uniform(-1e3, 1e3, 300), [0.0]))
+        ref = np.exp(1j * np.outer(t, -50.0 + 0.005 * np.arange(n))) @ c
+        assert np.max(np.abs(table(t) - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [
+        np.full(20_000, 1 / 20_000),
+        np.random.default_rng(3).standard_normal(4097),
+        np.array([0.2, 0.8]),
+        np.array([1.0]),
+        np.zeros(1),
+    ], ids=["uniform_20000", "signed_4097", "two_atom", "point", "empty"])
+    def test_order_is_least_meeting_remainder_bound(self, c):
+        table = _fft.TaylorTable(0.0, 1.0, c)
+        assert table.n_fft >= 4 * c.size and table.n_fft & (table.n_fft - 1) == 0
+        assert table.table.shape == (table.order + 1, table.n_fft)
+        assert table.order <= 13
+        floor = 2.0 ** -53 * float(np.abs(c).sum())
+        assert _remainder(c, table, table.order) <= floor
+        if table.order > 0:
+            assert _remainder(c, table, table.order - 1) > floor
 
 
 class TestParity:
-    @pytest.mark.parametrize("n, m", [(97, 97), (101, 40), (89, 257), (1, 5), (7, 1)])
-    def test_czt_matches_direct_sum(self, n, m):
-        rng = np.random.default_rng(n * 1000 + m)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = np.exp(1j * 0.0371)
-        ref = _direct_czt(x, m, w)
-        got = _fft.czt(x, m, w)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 300), (513, 700), (1024, 1025)])
     def test_fftconvolve_matches_convolve(self, n1, n2):
         rng = np.random.default_rng(n1 + n2)
@@ -63,15 +87,6 @@ class TestScipyBitwise:
             for real in (False, True):
                 assert _fft.next_fast_len(target, real) == self.sfft.next_fast_len(target, real)
 
-    def test_czt(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            n, m = (int(v) for v in rng.integers(1, 3000, size=2))
-            x = rng.standard_normal(n) * np.exp(1j * rng.uniform(0.0, 6.0, n))
-            w = np.exp(1j * rng.uniform(1e-4, 0.5))
-            ref = self.signal.czt(x, m=m, w=w, a=1.0)
-            assert np.array_equal(_fft.czt(x, m, w).view(float), ref.view(float))
-
     def test_fftconvolve(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
@@ -104,7 +119,7 @@ COLD_SCRIPT = textwrap.dedent("""
 
 
 def test_cold_path_imports_no_scipy(tmp_path):
-    """The CLI import, a CZT grid, an FFT convolution, a mixture
+    """The CLI import, a density grid scan, an FFT convolution, a mixture
     approximation and the kutlu-scan and inf-scan commands run in a fresh
     interpreter where scipy cannot be imported."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qidlab.__file__)))

@@ -133,12 +133,18 @@ class TestReconstruct:
         tail = 2.0 * sum(0.5 ** k / k for k in range(K + 1, 400))
         assert err <= tail
         assert tail < 2.0 ** -K
+        # |lambda_k| = r^k / k with r = 1/2 for k >= 1 and 0 for k < 0
+        assert pair.tail_mass == pytest.approx(0.5 * tail, rel=1e-9)
 
     @pytest.mark.parametrize("make_pair", [
         lambda: lattice_spectral_pair(heavy_lattice_law(), K=64),
         lambda: SpectralPair(-0.4, 0.0, 0.7, ((-9, 0.02), (-2, -0.15), (1, 0.3),
                                               (5, -0.05), (6, 0.01)), 9, 0.0),
-    ], ids=["heavy_lattice_K64", "gapped_signed"])
+        lambda: SpectralPair(0.3, 0.3, 1.1, tuple(
+            (k, float(lam)) for k, lam in zip(np.r_[-2048:0, 1:2049],
+                                              0.002 * np.random.default_rng(4).standard_normal(4096))),
+            2048, 0.0),
+    ], ids=["heavy_lattice_K64", "gapped_signed", "signed_K2048"])
     def test_power_table_matches_term_by_term(self, make_pair, monkeypatch):
         pair = make_pair()
         ts = np.linspace(-2.0 * math.pi / pair.lattice_b, 2.0 * math.pi / pair.lattice_b, 1501)
