@@ -61,7 +61,8 @@ class TaylorTable:
         np.cumprod(rows, axis=0, out=rows)
         wrapped = np.zeros((order + 1, self.n_fft), dtype=complex)
         wrapped[:, k % self.n_fft] = rows
-        self.table = np.fft.ifft(wrapped, axis=1, norm="forward")
+        # in place: the table is as large as wrapped
+        self.table = np.fft.ifft(wrapped, axis=1, norm="forward", out=wrapped)
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
         """S at each t of the 1-D float array."""

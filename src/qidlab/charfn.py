@@ -60,11 +60,6 @@ LATTICE_FILL_MAX = 8
 # the misfit.
 _LATTICE_FIT_ULPS = 16
 
-# Equal cells per bracket and step of multisection_polish: one call
-# samples the _SECTIONS - 1 interior nodes of every open bracket.
-_SECTIONS = 8
-
-
 @dataclass(frozen=True)
 class ZeroFreeCertificate:
     """Scan evidence that |f| stays positive: window, resolution,
@@ -224,53 +219,72 @@ def _lattice_coeffs(disc: DiscreteLaw) -> tuple[float, float, np.ndarray] | None
     return a, b, np.bincount(ks, weights=disc.masses)
 
 
-def multisection_polish(fn, a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Minima of fn in many brackets at once by multi-section search.
+def parabolic_polish(fn, a, b, c, fa, fb, fc) -> tuple[np.ndarray, np.ndarray]:
+    """Minima of fn in many brackets at once by parabolic interpolation.
 
-    fn maps an array of abscissae to an array of values. Bracket k is
-    a[k] < b[k] < c[k] with fn(b) below both ends (checked on fresh
-    values in one first call; a bracket failing it returns (b, fn(b))).
-    Each step makes one call on all brackets still open: it samples the
-    _SECTIONS - 1 interior nodes that cut a bracket into _SECTIONS equal
-    cells and keeps the two cells beside the best node, so a bracket
-    shrinks fourfold per step. Its edges are always nodes a cell away
-    from the best one, never a point a few ulps off it whose side
-    rounding noise in fn would decide. A bracket stops by the relative
-    rule hi - lo <= REFINE_XTOL * (|lo| + |hi|) or once it no longer
-    shrinks in floating point. Returns the best abscissa and value seen
-    per bracket, each value an actual evaluation of fn.
+    fn maps an array of abscissae to an array of nonnegative values (a
+    modulus). Bracket k is a[k] < b[k] < c[k] with values fa[k], fb[k],
+    fc[k] that the caller already holds; a bracket whose fb is not below
+    both ends returns (b, fb) untouched. Each round makes one call on all
+    brackets still open. It takes the vertex v of the parabola through
+    the bracket's three points fitted to fn^2, which stays smooth where
+    fn is V-shaped at a zero, or the middle of the bracket's longer side
+    when the bracket did not halve in the last round (a flat minimum,
+    such as a double zero, where fn^2 is far from a parabola). It clips
+    v into the bracket and evaluates v - h, v, v + h with
+    h = max(0.1 * min(|v - x_mid|, half-width), REFINE_XTOL * (|lo| + |hi|)),
+    x_mid the bracket's best point. The least of the old and new points
+    and its two neighbours form the next bracket. A bracket stops once h
+    is at that floor or the new stencil is not convex in fn^2 beyond
+    rounding. Returns the best abscissa and value per bracket, each value
+    an actual evaluation of fn or the value passed in.
     """
-    a, b, c = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c))
-    fa, fb, fc = np.split(np.asarray(fn(np.concatenate((a, b, c)))), 3)
-    ok = (fb < fa) & (fb < fc)
-    lo, hi, x_best, f_best = a.copy(), c.copy(), b.copy(), fb.copy()
-    width = np.full(a.size, np.inf)
-    cuts = np.arange(1, _SECTIONS) / _SECTIONS
-    live = np.nonzero(ok)[0]
-    # a scan bracket reaches REFINE_XTOL in 15-20 steps; the cap only
-    # guards brackets shrinking towards x = 0, where the rule never fires
-    for _ in range(200):
-        w = hi[live] - lo[live]
-        keep = (w > config.REFINE_XTOL * (np.abs(lo[live]) + np.abs(hi[live]))) & (w < width[live])
-        live, w = live[keep], w[keep]
+    x = np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c)])
+    y = np.column_stack([np.atleast_1d(np.asarray(v, dtype=float)) for v in (fa, fb, fc)])
+    live = np.nonzero((y[:, 1] < y[:, 0]) & (y[:, 1] < y[:, 2]))[0]
+    width = np.full(x.shape[0], np.inf)
+    # near a minimum the vertex error squares each round (a flat minimum
+    # takes about 40 rounds); the cap only guards brackets shrinking
+    # towards x = 0, where the floor is tiny
+    for _ in range(100):
         if live.size == 0:
             break
-        width[live] = w
-        nodes = np.column_stack((lo[live], lo[live, None] + w[:, None] * cuts, hi[live]))
-        vals = np.asarray(fn(nodes[:, 1:-1].ravel())).reshape(live.size, _SECTIONS - 1)
-        k = np.argmin(vals, axis=1)
-        rows = np.arange(live.size)
-        lo[live], hi[live] = nodes[rows, k], nodes[rows, k + 2]
-        better = vals[rows, k] < f_best[live]
-        x_best[live[better]] = nodes[rows[better], k[better] + 1]
-        f_best[live[better]] = vals[rows[better], k[better]]
-    return x_best, f_best
+        (x0, x1, x2), (g0, g1, g2) = x[live].T, (y[live] ** 2).T
+        d0, d2 = x1 - x0, x2 - x1
+        num = d0 * d0 * (g1 - g2) - d2 * d2 * (g1 - g0)
+        den = d0 * (g1 - g2) + d2 * (g1 - g0)
+        # den < 0 on a bracket unless the squares underflow to ties
+        v = x1 - 0.5 * num / np.where(den < 0.0, den, -np.inf)
+        slow = x2 - x0 > 0.5 * width[live]
+        width[live] = x2 - x0
+        v[slow] = np.where(d0 > d2, x1 - 0.5 * d0, x1 + 0.5 * d2)[slow]
+        floor = config.REFINE_XTOL * (np.abs(x0) + np.abs(x2))
+        half = 0.5 * (x2 - x0)
+        h = np.maximum(0.1 * np.minimum(np.abs(np.clip(v, x0, x2) - x1), half), floor)
+        room = h < half
+        live, x0, x2, v, h, floor = (z[room] for z in (live, x0, x2, v, h, floor))
+        v = np.clip(v, x0 + h, x2 - h)
+        pts = np.column_stack((v - h, v, v + h))
+        vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(-1, 3)
+        allx = np.concatenate((x[live], pts), axis=1)
+        ally = np.concatenate((y[live], vals), axis=1)
+        order = np.argsort(allx, axis=1, kind="stable")
+        allx = np.take_along_axis(allx, order, axis=1)
+        ally = np.take_along_axis(ally, order, axis=1)
+        k = np.clip(np.argmin(ally, axis=1), 1, 4)[:, None] + np.arange(-1, 2)
+        x[live] = np.take_along_axis(allx, k, axis=1)
+        y[live] = np.take_along_axis(ally, k, axis=1)
+        # a stencil convex by less than a few ulps of fn^2 is rounding noise
+        g = vals ** 2
+        convex = g[:, 0] + g[:, 2] - 2.0 * g[:, 1] > 16.0 * np.finfo(float).eps * g[:, 1]
+        live = live[(h > floor) & convex]
+    return x[:, 1], y[:, 1]
 
 
 def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
     """Scan |f| on a uniform grid over [-T, T] and polish the
-    config.REFINE_TOP lowest local minima together by multi-section
-    search (multisection_polish, one CF call per step for all of them).
+    config.REFINE_TOP lowest local minima together by parabolic_polish
+    (one CF call per round for all of them, from the grid moduli).
     The certificate records the smallest modulus seen, grid or
     polished, and where; it is never above the grid minimum.
 
@@ -291,8 +305,8 @@ def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
     cand = interior[is_loc]
     cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
     if cand.size:
-        t_r, v_r = multisection_polish(lambda t: np.abs(f(t)),
-                                       ts[cand - 1], ts[cand], ts[cand + 1])
+        t_r, v_r = parabolic_polish(lambda t: np.abs(f(t)), ts[cand - 1], ts[cand], ts[cand + 1],
+                                    mods[cand - 1], mods[cand], mods[cand + 1])
         k = int(np.argmin(v_r))
         if v_r[k] < best_v:
             best_t, best_v = float(t_r[k]), float(v_r[k])
@@ -330,9 +344,10 @@ def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
     their signs must be right, the magnitudes steer interpolation. Each
     step makes one call on all brackets still open, at the point a
     fraction t of the way from the newest point to the other end: t is
-    the inverse-quadratic interpolate through the last three points
-    where that stays well inside the bracket (Chandrupatla 1997,
-    Adv. Eng. Softw. 28(3)), else 1/2, clipped to [tl, 1 - tl] with
+    the secant of fa, fb on the first step, then the inverse-quadratic
+    interpolate through the last three points where that stays well
+    inside the bracket (Chandrupatla 1997, Adv. Eng. Softw. 28(3)),
+    else 1/2, clipped to [tl, 1 - tl] with
     tl = REFINE_XTOL / (2 * width) so that every step moves at least
     REFINE_XTOL / 2. A bracket closes when fn is exactly 0 at the new
     point or its width drops below config.REFINE_XTOL (at most 80
@@ -340,9 +355,10 @@ def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
     """
     x1, x2 = np.array(a, dtype=float), np.array(b, dtype=float)
     f1, f2 = np.array(fa, dtype=float), np.array(fb, dtype=float)
-    # the third point is set by the first (bisection) step before any use
+    # the third point is set by the first (secant) step before any use
     x3, f3 = x2.copy(), f2.copy()
-    t = np.full(x1.size, 0.5)
+    tl = 0.5 * config.REFINE_XTOL / (x2 - x1)
+    t = np.clip(f1 / (f1 - f2), tl, 1.0 - tl)
     live = np.arange(x1.size)
     for _ in range(80):
         if live.size == 0:
@@ -377,21 +393,23 @@ def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
 def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
     """Refined roots of Im(f0(t) e^{-it*gamma0}) in [-T, T].
 
-    Grid values at rounding level count as roots; sign changes on the
-    grid are polished by bracket_roots, all brackets together, with the
-    end signs taken from the grid values that opened each bracket (a
-    pointwise value at a root on a grid node may disagree in sign). A
-    polished root is kept when |Im| there is within 1e-7 of the grid
-    scale. Raises IdenticallyZeroImagError when the imaginary part
-    vanishes on the whole grid (recentered symmetric law), since every t
-    would be a root.
+    The function is odd, as f0(-t) = conj f0(t), so the grid runs over
+    [0, T] and the roots found there are returned with their negatives,
+    exactly symmetric. Grid values at rounding level count as roots;
+    sign changes on the grid are polished by bracket_roots, all brackets
+    together, with the end signs taken from the grid values that opened
+    each bracket (a pointwise value at a root on a grid node may disagree
+    in sign). A polished root is kept when |Im| there is within 1e-7 of
+    the grid scale. Raises IdenticallyZeroImagError when the imaginary
+    part vanishes on the whole grid (recentered symmetric law), since
+    every t would be a root.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
     g = lambda t: np.imag(f0(t) * np.exp(-1j * gamma0 * t))
     n = int(math.ceil(T / step))
-    ts = step * np.arange(-n, n + 1)
-    vals = np.imag(f0.eval_grid(-n * step, step, 2 * n + 1) * np.exp(-1j * gamma0 * ts))
+    ts = step * np.arange(n + 1)
+    vals = np.imag(f0.eval_grid(0.0, step, n + 1) * np.exp(-1j * gamma0 * ts))
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-12:
         raise IdenticallyZeroImagError(
@@ -406,7 +424,8 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[flo
     if idx.size:
         r = bracket_roots(g, ts[idx], ts[idx + 1], vals[idx], vals[idx + 1])
         roots.extend(r[np.abs(g(r)) <= 1e-7 * scale].tolist())
-    return _merge_close(roots)
+    half = _merge_close(roots)
+    return [-r for r in reversed(half) if r > 0.0] + half
 
 
 def _merge_close(values, tol: float = max(10 * config.REFINE_XTOL, 1e-12)) -> list[float]:

@@ -36,9 +36,10 @@ MAX_BRANCH_HALVINGS = 16
 
 # Local refinement of scan roots and minima. REFINE_XTOL is absolute for
 # the root polish (Chandrupatla brackets close below this width, and each
-# step moves at least half of it) and relative for the multi-section
-# polish of minima (bracket width against |lo| + |hi|). REFINE_TOP is
-# the number of lowest grid minima that min_modulus_scan polishes.
+# step moves at least half of it) and relative for the parabolic polish
+# of minima (its stencil half-width stops at REFINE_XTOL * (|lo| + |hi|)
+# of the bracket). REFINE_TOP is the number of lowest grid minima that
+# min_modulus_scan polishes.
 REFINE_XTOL = 1e-12
 REFINE_TOP = 5
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charfn import multisection_polish
+from .charfn import parabolic_polish
 from .errors import InputError
 
 _CHUNK = 1 << 20
@@ -146,18 +146,50 @@ def _grid_min(alpha: float, ts_at, lo: int, hi: int) -> tuple[float, float]:
     return best_v, best_t
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker's split)."""
+    p = a * b
+    ah = 134217729.0 * a
+    ah -= ah - a
+    bh = 134217729.0 * b
+    bh -= bh - b
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def _polish_keep(alpha: float, v: float, t: float, step: float) -> tuple[float, float]:
-    """Multi-section polish of |three_point_cf| around the grid minimum (v, t);
-    returns the polished (value, argmin) if lower, else (v, t)."""
-    x, pv = multisection_polish(lambda x: np.abs(three_point_cf(alpha, x)),
-                                max(t - step, 0.0), t, t + step)
-    return (float(pv[0]), float(x[0])) if pv[0] < v else (v, t)
+    """Parabolic polish of |three_point_cf| around the grid minimum (v, t);
+    returns the polished (value, argmin) if lower, else (v, t).
+
+    Rounding the phases t*alpha moves the computed |f| by up to 3e-12
+    near t = 4e4, far more than the true function changes between
+    neighbouring floats. So the polish runs on s -> |sum_j w_j
+    exp(i*omega_j*s)|, omega = (1, alpha, 1 + alpha), with w_j =
+    exp(i*omega_j*t)/3 built from the exact phases t, alpha*t and
+    t + alpha*t as double-double sums, and reports t + s.
+    """
+    p, e = _two_product(alpha, t)
+    s, e2 = _two_sum(t, p)
+    hi, lo = np.array([t, p, s]), np.array([0.0, e, e + e2])
+    w = np.exp(1j * hi) * np.exp(1j * lo) / 3.0
+    omega = np.array([1.0, alpha, 1.0 + alpha])
+    fn = lambda x: np.abs(np.exp(1j * np.multiply.outer(x, omega)) @ w)
+    ends = np.array([-min(step, t), 0.0, step])
+    x, pv = parabolic_polish(fn, *ends, *fn(ends))
+    return (float(pv[0]), t + float(x[0])) if pv[0] < v else (v, t)
 
 
 def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
     """Prefix minima of |three_point_cf(alpha, .)| over [0, T] for each
     T in the increasing ladder, grid-scanned at the given step with a
-    multi-section polish of the best dip per window."""
+    parabolic polish of the best dip per window in exact phases."""
     if not (step > 0 and math.isfinite(step)):
         raise InputError("step must be positive and finite")
     ladder = [float(T) for T in ladder]

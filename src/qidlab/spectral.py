@@ -13,7 +13,7 @@ on the same nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,9 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     every log increment is below pi/2; a node at or below the floor, or
     n past BLOCK_ENTRIES, rejects the law. The drift picks up the
     branch winding, so it lands on the law's lattice. The weights of
-    the same FFT at K < |k| <= n/2 give the pair's tail_mass.
+    the same FFT at K < |k| <= n/2 give the pair's tail_mass. The
+    residual is the round-trip error on 4*max(256, 8K) nodes of one
+    period, from two more inverse FFTs (_fft_residual).
     """
     if K < 0:
         raise InputError("truncation order K must be nonnegative")
@@ -128,10 +130,24 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     atoms = tuple((int(k), float(lam)) for k, lam in zip(idx, coeff[idx].real)
                   if abs(lam) > PRUNE_TOL)
     tail = math.fsum(np.abs(coeff[K + 1:n - K].real))
-    pair = SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
-                        signed_atoms=atoms, truncation_K=K, residual=0.0, tail_mass=tail)
-    grid = np.linspace(0.0, period, 4 * n_nodes + 1)
-    return replace(pair, residual=pair_roundtrip_error(F, pair, grid))
+    return SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
+                        signed_atoms=atoms, truncation_K=K,
+                        residual=_fft_residual(c, atoms, winding, 4 * n_nodes), tail_mass=tail)
+
+
+def _fft_residual(c: np.ndarray, atoms, winding: int, m: int) -> float:
+    """pair_roundtrip_error on the m nodes t_j = j*period/m: there
+    |f - reconstruction| = |P(theta_j) - exp(i*winding*theta_j + sum_k
+    lambda_k (e^{ik*theta_j} - 1))|, theta_j = 2*pi*j/m, and both sums
+    are inverse FFTs of coefficients folded modulo m."""
+    p_vals = np.fft.ifft(np.bincount(np.arange(c.size) % m, weights=c, minlength=m),
+                         norm="forward")
+    ks = np.array([k for k, _ in atoms], dtype=np.int64)
+    lams = np.array([lam for _, lam in atoms], dtype=float)
+    sums = np.fft.ifft(np.bincount(ks % m, weights=lams, minlength=m), norm="forward")
+    theta = 2.0 * math.pi * np.arange(m) / m
+    recon = np.exp(1j * winding * theta + (sums - math.fsum(lams)))
+    return float(np.max(np.abs(p_vals - recon)))
 
 
 def pair_roundtrip_error(F: Law, pair: SpectralPair, grid) -> float:

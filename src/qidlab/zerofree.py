@@ -115,7 +115,8 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
     Roots giving the same weight are folded onto one first: t and -t,
     as f1(-t) = conj f1(t), and for a pure lattice law on a + b*Z with
     gamma0 on its lattice also t and 2*pi/b - t, as f1 then has period
-    2*pi/b. Folded roots merge as in imag_zero_scan.
+    2*pi/b; the scan then stops at pi/b plus one step, which the fold
+    covers. Folded roots merge as in imag_zero_scan.
     """
     law = f0.law
     centre = support_info(law).cext
@@ -123,13 +124,16 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
         raise InputError(
             "gamma0 equals the support center of a shift-symmetric law; "
             "the imaginary part of the recentered CF vanishes identically")
-    roots = np.abs(imag_zero_scan(f0, gamma0, T, step))
+    period = None
     fit = law.discrete.lattice_fit if law.is_pure_discrete else None
     if fit is not None and fit[1] > 0:
         m = (gamma0 - fit[0]) / fit[1]
         if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit[2][-1]:
             period = 2.0 * math.pi / fit[1]
-            roots = np.minimum(roots % period, period - roots % period)
+            T = min(T, 0.5 * period + step)
+    roots = np.abs(imag_zero_scan(f0, gamma0, T, step))
+    if period is not None:
+        roots = np.minimum(roots % period, period - roots % period)
     roots = np.array(_merge_close(roots))
     re = (f0(roots) * np.exp(-1j * gamma0 * roots)).real
     re = re[re < -1e-15]

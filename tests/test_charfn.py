@@ -6,7 +6,7 @@ import pytest
 from qidlab import charfn, config
 from qidlab._fft import TaylorTable
 from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
-                           min_modulus_scan, multisection_polish)
+                           min_modulus_scan, parabolic_polish)
 from qidlab.dist import (continuous_bernoulli, convolve, law_from_atoms, mix,
                          point_mass, uniform_density)
 from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
@@ -226,29 +226,112 @@ class TestMinModulusScan:
             assert cert.min_modulus <= grid.min()
 
 
-class TestMultisectionPolish:
+def eight_cell_polish(fn, a, b, c):
+    """Oracle for parabolic_polish: multi-section search. Each step
+    samples the 7 interior nodes that cut every open bracket into 8
+    equal cells and keeps the two cells beside the best node, until the
+    bracket is below REFINE_XTOL relative or stops shrinking."""
+    a, b, c = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c))
+    fa, fb, fc = np.split(np.asarray(fn(np.concatenate((a, b, c)))), 3)
+    lo, hi, x_best, f_best = a.copy(), c.copy(), b.copy(), fb.copy()
+    width = np.full(a.size, np.inf)
+    live = np.nonzero((fb < fa) & (fb < fc))[0]
+    for _ in range(200):
+        w = hi[live] - lo[live]
+        keep = (w > config.REFINE_XTOL * (np.abs(lo[live]) + np.abs(hi[live]))) & (w < width[live])
+        live, w = live[keep], w[keep]
+        if live.size == 0:
+            break
+        width[live] = w
+        nodes = lo[live, None] + w[:, None] * np.arange(9) / 8
+        nodes[:, -1] = hi[live]
+        vals = np.asarray(fn(nodes[:, 1:-1].ravel())).reshape(live.size, 7)
+        k = np.argmin(vals, axis=1)
+        rows = np.arange(live.size)
+        lo[live], hi[live] = nodes[rows, k], nodes[rows, k + 2]
+        better = vals[rows, k] < f_best[live]
+        x_best[live[better]] = nodes[rows[better], k[better] + 1]
+        f_best[live[better]] = vals[rows[better], k[better]]
+    return x_best, f_best
+
+
+def counted(fn, calls):
+    """fn recording the abscissae of each call in calls."""
+    return lambda x: calls.append(np.array(x)) or fn(x)
+
+
+def polish(fn, a, b, c):
+    """parabolic_polish with the bracket values taken from fn first."""
+    a, b, c = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, c))
+    return parabolic_polish(fn, a, b, c, fn(a), fn(b), fn(c))
+
+
+class TestParabolicPolish:
     def test_known_minima_in_one_batch(self):
         # a V-shaped minimum, as |f| has at a real zero of f
         fn = lambda x: np.abs(np.sin(x - 0.3))
         want = 0.3 + math.pi * np.arange(1, 4)
-        x, v = multisection_polish(fn, want - 0.4, want + 0.05, want + 0.3)
+        x, v = polish(fn, want - 0.4, want + 0.05, want + 0.3)
         assert np.max(np.abs(x - want)) < 1e-10
         assert np.array_equal(v, fn(x))
 
     def test_one_call_per_step(self):
         calls = []
-        fn = lambda x: calls.append(np.size(x)) or (x - 1.0) ** 2
-        multisection_polish(fn, np.array([0.0, 0.5]), np.array([0.9, 0.95]), np.array([2.0, 1.5]))
-        # 3 points per bracket first, then at most 7 per bracket; each step
-        # shrinks a bracket fourfold, and the width-2 bracket needs 20 steps
-        # to reach the relative stop at x = 1
-        assert calls[0] == 6 and max(calls[1:]) <= 14 and len(calls) <= 21
+        fn = lambda x: (x - 1.0) ** 2
+        a, b, c = np.array([0.0, 0.5]), np.array([0.9, 0.95]), np.array([2.0, 1.5])
+        x, v = parabolic_polish(counted(fn, calls), a, b, c, fn(a), fn(b), fn(c))
+        assert np.max(np.abs(x - 1.0)) < 1e-10
+        # one call per round, 3 points per open bracket, none of them a
+        # point whose value was passed in
+        assert 1 <= len(calls) <= 6
+        assert all(pts.size <= 6 and pts.size % 3 == 0 for pts in calls)
+        assert not np.isin(np.concatenate(calls), np.concatenate((a, b, c))).any()
 
     def test_non_bracket_returns_middle(self):
+        calls = []
         fn = lambda x: (x - 5.0) ** 2
-        x, v = multisection_polish(fn, [0.0, 4.0], [1.0, 4.9], [2.0, 6.0])
+        x, v = polish(counted(fn, calls), [0.0, 4.0], [1.0, 4.9], [2.0, 6.0])
         assert x[0] == 1.0 and v[0] == 16.0
         assert abs(x[1] - 5.0) < 1e-10
+        # the three calls of polish() itself, then rounds for the second only
+        assert all(pts.size == 3 for pts in calls[3:])
+
+    @pytest.mark.parametrize("case", ["heavy_lattice", "density_mixture"])
+    def test_matches_eight_cell_oracle(self, case, monkeypatch, skewed_two_atom, uniform01):
+        if case == "heavy_lattice":
+            law, T, step = heavy_lattice_law(), 2.0 * math.pi / 1.1, 2.0 * math.pi / 1.1 / 4096
+        else:
+            law, T, step = mix(0.3, skewed_two_atom, uniform01), 40.0, 0.01
+        seen = []
+        monkeypatch.setattr(charfn, "parabolic_polish",
+                            lambda *args: seen.append(args) or parabolic_polish(*args))
+        min_modulus_scan(CharFn(law), T, step)
+        fn, a, b, c, fa, fb, fc = seen[0]
+        assert a.size == config.REFINE_TOP
+        calls = []
+        x, v = parabolic_polish(counted(fn, calls), a, b, c, fa, fb, fc)
+        _, v_ref = eight_cell_polish(fn, a, b, c)
+        assert np.all(v <= v_ref * (1.0 + 1e-14))
+        assert np.array_equal(v, fn(x))
+        assert len(calls) <= 6
+        assert not np.isin(np.concatenate(calls), np.concatenate((a, b, c))).any()
+
+    def test_fair_bernoulli_zero(self, fair_bernoulli):
+        f = CharFn(fair_bernoulli)
+        fn = lambda t: np.abs(f(t))
+        x, v = polish(fn, 3.13, 3.14, 3.15)
+        assert v[0] < 1e-15 and abs(x[0] - math.pi) < 1e-9
+
+    def test_flat_minimum_double_zero(self):
+        # |f| = cos(t/2)^2 for the law {0: 1/4, 1: 1/2, 2: 1/4}: the double
+        # zero at pi makes fn^2 quartic, far from any parabola, and only
+        # the midpoint cuts of brackets that stop halving close in on it
+        f = CharFn(law_from_atoms([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]))
+        calls = []
+        x, v = polish(counted(lambda t: np.abs(f(t)), calls), 3.12, 3.15, 3.18)
+        assert v[0] < 1e-16 and abs(x[0] - math.pi) < 1e-8
+        # the three calls of polish() itself, then at most 60 rounds
+        assert len(calls) <= 3 + 60
 
 
 class TestDecayWindow:
@@ -351,6 +434,15 @@ class TestImagZeroScan:
             want = grid_sign_bisection(f, gamma, T, step)
             assert len(got) == len(want) > 0
             assert np.max(np.abs(np.array(got) - np.array(want))) <= tol
+
+    def test_mirrored_roots_exactly_symmetric(self, skewed_two_atom, truncated_normal):
+        # the scan runs over [0, T] and returns each root r with -r
+        for law, gamma, T in [(heavy_lattice_law(), 0.3, 2.0 * math.pi / 1.1),
+                              (mix(0.4, skewed_two_atom, truncated_normal), 0.0, 12.0)]:
+            roots = np.array(imag_zero_scan(CharFn(law), gamma, T, _root_scan_step(law, gamma)))
+            assert roots.size % 2 == 1 and roots[roots.size // 2] == 0.0
+            assert np.array_equal(roots, -roots[::-1])
+            assert np.all(np.diff(roots) > 0)
 
     def test_symmetric_recentered_is_flagged(self, fair_bernoulli):
         with pytest.raises(IdenticallyZeroImagError):

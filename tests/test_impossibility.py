@@ -21,6 +21,10 @@ GOLDEN_MINIMA = [0.020255719975697074, 0.0005071885108728658,
 PI_MINIMA = [0.02323469717978972, 2.6223868340994178e-05,
              2.6223868340994178e-05, 2.6223868340994178e-05]
 RATIONAL_32_FLOOR = 0.20244881124183817
+# exact least |three_point_cf(sqrt2, t)| over [0, 1e5], alpha the float
+# sqrt(2): mpmath at 40 digits, findroot of d/dt |f|^2 from the scan's
+# argmin t = 38989.2596159198, then |f| there
+SQRT2_EXACT_MIN_1E5 = 1.5500345866064224e-4
 
 
 class TestKutluPhi:
@@ -121,6 +125,12 @@ class TestInfScan:
         assert vals == pytest.approx(SQRT2_MINIMA, rel=1e-9)
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.1
+
+    def test_sqrt2_polish_in_exact_phases(self):
+        # plain three_point_cf is off by up to 3e-12 near t = 4e4 (the
+        # rounding of t*alpha); the polish in exact phases is not
+        rep = inf_scan(SQRT2, [1e5], 0.01)
+        assert abs(rep.minima[0][1] - SQRT2_EXACT_MIN_1E5) <= 1e-14
 
     def test_golden_and_pi_regression(self):
         repg = inf_scan(GOLDEN, [1e2, 1e3, 1e4, 1e5], 0.01)

@@ -73,6 +73,21 @@ class TestExtraction:
         fine = pair_roundtrip_error(F, pair, np.linspace(0.0, 2 * math.pi, 8 * 512 + 1))
         assert pair.residual - 1e-12 <= fine <= 1.5 * pair.residual
 
+    @pytest.mark.parametrize("case", ["heavy_K64", "heavy_K3", "wide_K10", "two_thirds",
+                                      "winding", "poisson"])
+    def test_fft_residual_matches_roundtrip(self, case):
+        # wide_K10: 1 500 coefficients fold onto the 1 024 residual nodes
+        law, K = {"heavy_K64": (heavy_lattice_law(), 64),
+                  "heavy_K3": (heavy_lattice_law(), 3),
+                  "wide_K10": (heavy_lattice_law(1500), 10),
+                  "two_thirds": (law_from_atoms([(0.0, 2 / 3), (1.0, 1 / 3)]), 20),
+                  "winding": (law_from_atoms([(0.0, 1 / 3), (1.0, 2 / 3)]), 40),
+                  "poisson": (poisson_law(0.7), 20)}[case]
+        pair = lattice_spectral_pair(law, K=K)
+        m = 4 * max(256, 8 * K)
+        nodes = (2 * math.pi / pair.lattice_b) * np.arange(m) / m
+        assert abs(pair.residual - pair_roundtrip_error(law, pair, nodes)) <= 1e-12
+
     def test_weights_match_fine_fft(self):
         # lambda_k from an independent 2^18-node FFT of the unwrapped log P
         law = heavy_lattice_law()

@@ -13,10 +13,12 @@ from conftest import heavy_lattice_law
 
 def scalar_bracket_root(g, a, b, fa, fb):
     """One bracket alone, one scalar call per step: the Chandrupatla
-    steps of charfn.bracket_roots (inverse-quadratic interpolation or
-    bisection, clipped REFINE_XTOL / 2 inside the bracket)."""
+    steps of charfn.bracket_roots (the secant of fa, fb first, then
+    inverse-quadratic interpolation or bisection, clipped REFINE_XTOL / 2
+    inside the bracket)."""
     x1, x2, f1, f2 = a, b, fa, fb
-    t = 0.5
+    tl = 0.5 * config.REFINE_XTOL / (b - a)
+    t = min(max(fa / (fa - fb), tl), 1.0 - tl)
     for _ in range(80):
         xt = x1 + t * (x2 - x1)
         ft = g(xt)
