@@ -3,6 +3,9 @@ arithmetic.
 
 A law is a convex mixture of a discrete part (weighted atoms) and an
 absolutely continuous part (nonnegative samples on a uniform grid).
+Atoms are stored as two arrays, built with
+``DiscreteLaw(locations, masses)``; ``Atom`` records exist only as the
+``DiscreteLaw.atoms`` view.
 Density samples are read as the piecewise-linear interpolant vanishing
 at both grid ends, which makes masses, convolution supports, L1
 distances and characteristic functions of represented laws computable
@@ -13,9 +16,9 @@ evaluated exactly, cell by cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,50 +33,46 @@ _FLOAT_EPS = float(np.finfo(float).eps)
 # Domain types
 
 
-@dataclass(frozen=True)
-class Atom:
-    """Point mass: location and mass in (0, 1]."""
+class Atom(NamedTuple):
+    """One record of DiscreteLaw.atoms."""
 
     location: float
     mass: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.location) and math.isfinite(self.mass)):
-            raise InputError(f"atom must be finite, got ({self.location}, {self.mass})")
-        if not (self.mass > 0.0):
-            raise InputError(f"atom mass must be positive, got {self.mass}")
-        if self.mass > 1.0 + config.DISCRETE_MASS_TOL:
-            raise InputError(f"atom mass must be <= 1, got {self.mass}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteLaw:
-    """Finitely many atoms, sorted strictly by location, total mass 1.
+    """Finitely many atoms as two read-only float arrays: ``locations``
+    strictly increasing with gaps above ATOM_MERGE_TOL, ``masses`` in
+    (0, 1] with sum 1."""
 
-    ``locations`` and ``masses`` are read-only arrays built from the
-    atoms once.
-    """
-
-    atoms: tuple[Atom, ...]
-    locations: np.ndarray = field(init=False, repr=False, compare=False)
-    masses: np.ndarray = field(init=False, repr=False, compare=False)
+    locations: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
-        atoms = tuple(self.atoms)
-        if not atoms:
-            raise InputError("discrete law needs at least one atom")
-        locs = np.array([a.location for a in atoms])
-        masses = np.array([a.mass for a in atoms])
+        locs = np.array(self.locations, dtype=float)
+        masses = np.array(self.masses, dtype=float)
+        if locs.ndim != 1 or locs.shape != masses.shape or not locs.size:
+            raise InputError("discrete law needs equal-length 1-D arrays of at "
+                             "least one atom")
+        if not (np.all(np.isfinite(locs)) and np.all(np.isfinite(masses))):
+            raise InputError("atom locations and masses must be finite")
+        if not (np.all(masses > 0.0) and np.all(masses <= 1.0 + config.DISCRETE_MASS_TOL)):
+            raise InputError("atom masses must lie in (0, 1]")
         if np.any(np.diff(locs) <= config.ATOM_MERGE_TOL):
             raise InputError("atom locations must be sorted and separated")
         total = math.fsum(masses)
-        if abs(total - 1.0) > config.DISCRETE_MASS_TOL * max(1, len(atoms)):
+        if abs(total - 1.0) > config.DISCRETE_MASS_TOL * locs.size:
             raise InputError(f"atom masses must sum to 1, got {total!r}")
         locs.setflags(write=False)
         masses.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "masses", masses)
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The atoms as (location, mass) records, built on first use."""
+        return tuple(map(Atom, self.locations.tolist(), self.masses.tolist()))
 
     @cached_property
     def lattice_fit(self) -> tuple[float, float, np.ndarray] | None:
@@ -235,7 +234,9 @@ class SupportInfo:
 def law_from_atoms(pairs: Iterable[tuple[float, float]], normalize: bool = False) -> Law:
     """Pure discrete law from (location, mass) pairs; coincident locations
     merge and zero masses are dropped."""
-    arr = np.array([(x, m) for x, m in pairs], dtype=float).reshape(-1, 2)
+    arr = np.array(list(pairs), dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise InputError("atoms must be (location, mass) pairs")
     if not np.all(np.isfinite(arr)):
         raise InputError("atom locations and masses must be finite")
     if np.any(arr[:, 1] < 0.0):
@@ -244,7 +245,7 @@ def law_from_atoms(pairs: Iterable[tuple[float, float]], normalize: bool = False
     locs, masses = _merge_atoms(arr[:, 0], arr[:, 1])
     if normalize:
         masses = masses / math.fsum(masses)
-    return Law(1.0, _discrete(locs, masses), None)
+    return Law(1.0, DiscreteLaw(locs, masses), None)
 
 
 def point_mass(x: float) -> Law:
@@ -350,14 +351,10 @@ def is_shift_symmetric(F: Law, tol: float = config.SHIFT_SYMMETRY_TOL) -> bool:
     if F.discrete is not None:
         locs, masses = F.discrete.locations, F.discrete.masses
         loc_tol = max(config.ATOM_MERGE_TOL, 1e-9 * width)
-        for x, m in zip(locs, masses):
-            j = np.searchsorted(locs, 2.0 * c - x)
-            ok = False
-            for k in (j - 1, j):
-                if 0 <= k < len(locs) and abs(locs[k] - (2.0 * c - x)) <= loc_tol:
-                    ok = abs(masses[k] - m) <= tol * max(1.0, m)
-            if not ok:
-                return False
+        # locations increase strictly, so the reflection must reverse them
+        if (np.any(np.abs(locs + locs[::-1] - 2.0 * c) > loc_tol)
+                or np.any(np.abs(masses[::-1] - masses) > tol * np.maximum(1.0, masses))):
+            return False
     if F.continuous is not None:
         d = F.continuous
         xs = np.union1d(d.nodes, 2.0 * c - d.nodes)
@@ -380,10 +377,6 @@ def _merge_atoms(locs: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     locs, masses = locs[order], masses[order]
     start = np.diff(locs, prepend=-np.inf) > config.ATOM_MERGE_TOL
     return locs[start], np.bincount(np.cumsum(start) - 1, weights=masses)
-
-
-def _discrete(locs: np.ndarray, masses: np.ndarray) -> DiscreteLaw:
-    return DiscreteLaw(tuple(map(Atom, locs.tolist(), masses.tolist())))
 
 
 def _grid_density(origin: float, step: float, vals: np.ndarray) -> DensityLaw:
@@ -421,7 +414,7 @@ def _assemble(locs: np.ndarray, masses: np.ndarray,
     keep = masses > 0.0
     locs, masses = _merge_atoms(locs[keep], masses[keep])
     w_disc = math.fsum(masses)
-    disc = _discrete(locs, masses / w_disc) if masses.size else None
+    disc = DiscreteLaw(locs, masses / w_disc) if masses.size else None
     if not density_parts:
         return Law(1.0, disc, None)
     w_cont = math.fsum(w for w, _ in density_parts)
@@ -456,7 +449,7 @@ def shift_scale(F: Law, shift: float, scale: float) -> Law:
         raise InputError(f"scale must be positive, got {scale}")
     disc = None
     if F.discrete is not None:
-        disc = _discrete(scale * F.discrete.locations + shift, F.discrete.masses)
+        disc = DiscreteLaw(scale * F.discrete.locations + shift, F.discrete.masses)
     cont = None
     if F.continuous is not None:
         d = F.continuous

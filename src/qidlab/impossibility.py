@@ -205,9 +205,8 @@ def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
         hi_idx = int(math.floor(T / step)) + 1
         v, t = _grid_min(alpha, lambda k: step * k, lo_idx, hi_idx)
         if v < running_val:
-            running_val, running_arg = v, t
+            running_val, running_arg = _polish_keep(alpha, v, t, step)
         lo_idx = hi_idx
-        running_val, running_arg = _polish_keep(alpha, running_val, running_arg, step)
         minima.append((T, running_val, running_arg))
     return InfScanReport(alpha=float(alpha), window_ladder=tuple(ladder),
                          minima=tuple(minima))

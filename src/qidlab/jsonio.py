@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .charfn import ZeroFreeCertificate
-from .dist import Atom, DensityLaw, DiscreteLaw, Law
+from .dist import DensityLaw, DiscreteLaw, Law
 from .errors import InputError
 from .pipelines import ApproxResult
 from .spectral import SpectralPair
@@ -26,9 +26,8 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def canonical_dumps(obj: Any, indent: int = 0) -> str:
+def canonical_dumps(obj: Any) -> str:
     """Deterministic JSON text with '%.17g' floats and stable key order."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -54,7 +53,7 @@ def canonical_dumps(obj: Any, indent: int = 0) -> str:
 def law_to_dict(F: Law) -> dict:
     out: dict[str, Any] = {"discrete_weight": F.discrete_weight}
     if F.discrete is not None:
-        out["atoms"] = [[a.location, a.mass] for a in F.discrete.atoms]
+        out["atoms"] = np.column_stack((F.discrete.locations, F.discrete.masses)).tolist()
     if F.continuous is not None:
         d = F.continuous
         out["density"] = {"origin": d.grid_origin, "step": d.grid_step,
@@ -67,7 +66,10 @@ def law_from_dict(data: dict) -> Law:
         w = float(data["discrete_weight"])
         disc = None
         if "atoms" in data and data["atoms"] is not None:
-            disc = DiscreteLaw(tuple(Atom(float(x), float(m)) for x, m in data["atoms"]))
+            atoms = np.asarray(data["atoms"], dtype=float)
+            if atoms.ndim != 2 or atoms.shape[1] != 2:
+                raise InputError("atoms must be a list of [location, mass] pairs")
+            disc = DiscreteLaw(atoms[:, 0], atoms[:, 1])
         cont = None
         if "density" in data and data["density"] is not None:
             dd = data["density"]

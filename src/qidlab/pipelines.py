@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config
 from .charfn import CharFn, ZeroFreeCertificate, min_modulus_scan
-from .dist import (Law, continuous_bernoulli, convolve, law_from_atoms,
+from .dist import (DiscreteLaw, Law, continuous_bernoulli, convolve,
                    mass_on_interval, mix, point_mass, restrict_density,
                    support_info, tv_distance)
 from .errors import InputError, LawShapeError, PipelineError
@@ -90,27 +90,26 @@ def truncate_lattice(F: Law, eps: float) -> tuple[Law, int, int, float, float]:
     _require_eps(eps)
     if not F.is_pure_discrete:
         raise LawShapeError("truncate_lattice needs a pure discrete law")
-    atoms = F.discrete.atoms
-    if len(atoms) < 2:
+    locs = F.discrete.locations
+    if locs.size < 2:
         raise LawShapeError("need at least two atoms (degenerate laws are "
                             "already representable exactly)")
     F.discrete.lattice_params()  # NotLatticeError off a lattice
     ks = F.discrete.lattice_fit[2]
-    locs = F.discrete.locations
     masses = F.discrete.masses
     below = np.concatenate(([0.0], np.cumsum(masses)[:-1]))
     above = np.concatenate((np.cumsum(masses[::-1])[::-1][1:], [0.0]))
     half = 0.5 * eps
     i1_cands = np.nonzero(below < half)[0]
     i1 = int(i1_cands[-1]) if i1_cands.size else 0
-    i1 = min(i1, len(atoms) - 2)
-    i2_cands = np.nonzero((above < half) & (np.arange(len(atoms)) > i1))[0]
+    i1 = min(i1, locs.size - 2)
+    i2_cands = np.nonzero((above < half) & (np.arange(locs.size) > i1))[0]
     i2 = int(i2_cands[0])
     q1, q2 = float(below[i1]), float(above[i2])
     new_masses = masses[i1:i2 + 1].copy()
     new_masses[0] += q1
     new_masses[-1] += q2
-    out = law_from_atoms(list(zip(locs[i1:i2 + 1], new_masses)))
+    out = Law(1.0, DiscreteLaw(locs[i1:i2 + 1], new_masses), None)
     return out, int(ks[i1]), int(ks[i2]), q1, q2
 
 
@@ -160,8 +159,7 @@ def approximate_abs_cont(F: Law, eps: float, q: float, tau: float, side: str) ->
     info = support_info(F_eps)
     gamma_eps = info.lext
     sel = select_delta(F_eps, gamma_eps, tau=eps)
-    core = mix(sel.delta, point_mass(gamma_eps), F_eps)
-    out = convolve(core, kernel)
+    out = convolve(sel.law, kernel)
     value, bound = tv_distance(F, out)
     h = F.continuous.grid_step
     out_info = support_info(out)
@@ -182,9 +180,9 @@ def approximate_lattice(F: Law, eps: float) -> ApproxResult:
     if not F.is_pure_discrete:
         raise LawShapeError("approximate_lattice needs a pure discrete law")
     F.discrete.lattice_params()
-    if len(F.discrete.atoms) == 1:
+    if F.discrete.locations.size == 1:
         # degenerate laws are already representable: identity approximant
-        loc = F.discrete.atoms[0].location
+        loc = float(F.discrete.locations[0])
         cert = min_modulus_scan(CharFn(F), 2.0 * math.pi, 2.0 * math.pi / 256)
         params = {"gamma_eps": loc, "delta_eps": 0.0, "K1": 0, "K2": 0,
                   "q1_eps": 0.0, "q2_eps": 0.0}
@@ -192,7 +190,7 @@ def approximate_lattice(F: Law, eps: float) -> ApproxResult:
     F_tilde, K1, K2, q1, q2 = truncate_lattice(F, eps)
     gamma_eps = support_info(F_tilde).lext
     sel = select_delta(F_tilde, gamma_eps, tau=eps)
-    out = mix(sel.delta, point_mass(gamma_eps), F_tilde)
+    out = sel.law
     value, bound = tv_distance(F, out)
     params = {"gamma_eps": gamma_eps, "delta_eps": sel.delta, "K1": K1, "K2": K2,
               "q1_eps": q1, "q2_eps": q2}
@@ -232,9 +230,9 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     F_a_eps, r_eps, c_eps = truncate_density(F_a, eps)
     h = F.continuous.grid_step
 
-    if c_d == 0.0 or len(F.discrete.atoms) == 1:
+    if c_d == 0.0 or F.discrete.locations.size == 1:
         gamma1 = (support_info(F_a_eps).lext if c_d == 0.0
-                  else F.discrete.atoms[0].location)
+                  else float(F.discrete.locations[0]))
         F_eps = mix(c_d, point_mass(gamma1), F_a_eps)
         case = "1a" if c_d > 0 else "1a(c_d=0)"
         claimed = 4.0 * eps
@@ -252,7 +250,7 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
                                     "after re-truncation")
             params.update({"r_hat_eps": r_hat, "c_hat_eps": c_hat})
         sel = select_delta(F_eps, gamma1, tau=eps)
-        out = mix(sel.delta, point_mass(gamma1), F_eps)
+        out = sel.law
         value, bound = tv_distance(F, out)
         params.update({"delta_eps": sel.delta, "case": case})
         return ApproxResult(out, eps, params, value, claimed, bound, sel.certificate)
@@ -268,8 +266,7 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     gamma2 = d_info.lext if abs(d_info.lext - cext) > 0.5 * h else d_info.rext
     tau_mix = min(eps, (1.0 - eps) * c_d * mu_d)
     sel = select_delta(F_eps, gamma2, tau=tau_mix)
-    delta = sel.delta
-    out = mix(delta, point_mass(gamma2), F_eps)
+    delta, out = sel.delta, sel.law
     value, bound = tv_distance(F, out)
     floor = (tau_mix - delta) / (delta + c_d - delta * c_d)
     if not (floor > 0):

@@ -24,14 +24,16 @@ from .errors import InputError, SelectionUnverifiableError, WindowError
 
 @dataclass(frozen=True)
 class DeltaSelection:
-    """Chosen mixing weight with the bad weights it avoids and the scan
-    certificate of the mixed characteristic function."""
+    """Chosen mixing weight with the bad weights it avoids, the mixed law
+    delta*point_mass(gamma0) + (1-delta)*F0 and the scan certificate of
+    its characteristic function."""
 
     delta: float
     bad_deltas: tuple[float, ...]
     certificate: ZeroFreeCertificate
     gamma0: float
     tau: float
+    law: Law
 
     def __post_init__(self):
         if not (0.0 < self.delta < self.tau):
@@ -60,7 +62,7 @@ def _scan_params(F0: Law, delta_hint: float, fa: CharFn | None,
     step = math.inf
     tail = None
     w = F0.discrete_weight
-    if F0.discrete is not None and len(F0.discrete.atoms) >= 2:
+    if F0.discrete is not None and F0.discrete.locations.size >= 2:
         a, b = F0.discrete.lattice_params()
         period = 2.0 * math.pi / b
         locs = F0.discrete.locations
@@ -175,8 +177,8 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
         cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
         last_min = max(last_min, cert.min_modulus)
         if cert.min_modulus > config.CERTIFICATE_FLOOR:
-            return DeltaSelection(delta=delta, bad_deltas=tuple(bad),
-                                  certificate=cert, gamma0=gamma0, tau=tau)
+            return DeltaSelection(delta=delta, bad_deltas=tuple(bad), certificate=cert,
+                                  gamma0=gamma0, tau=tau, law=mixture)
     raise SelectionUnverifiableError(
         f"no candidate delta in (0, {tau}) produced a certified positive "
         f"minimum (best {last_min:.3e})")

@@ -6,6 +6,7 @@ import pytest
 from qidlab import impossibility
 from qidlab.cli import main
 from qidlab.dist import law_from_atoms, mix, point_mass
+from qidlab.errors import InputError
 from qidlab.jsonio import canonical_dumps, law_from_dict, law_to_dict, save_law
 
 
@@ -145,9 +146,24 @@ class TestCommands:
         assert float(value) == pytest.approx(1.0, abs=1e-15)
         assert float(bound) == 0.0
 
-    def test_tv_rejects_nan_atom(self, fair_path, tmp_path, capsys):
-        bad = tmp_path / "nan.json"
-        bad.write_text('{"discrete_weight": 1, "atoms": [[NaN, 0.5], [1, 0.5]]}')
+    @pytest.mark.parametrize("atoms", [
+        [[math.nan, 0.5], [1, 0.5]],
+        [[0, 0.5], [math.inf, 0.5]],
+        [[0, 0.5, 0], [1, 0.5, 0]],
+        [[0, 0.5], [1]],
+        "[[0, 1]]",
+        [[0, 0.0], [1, 1.0]],
+        [[0, -0.5], [1, 0.75], [2, 0.75]],
+        [[0, 1.5]],
+        [[1, 0.5], [0, 0.5]],
+    ], ids=["nan", "inf", "three_columns", "ragged", "string", "zero_mass",
+            "negative_mass", "mass_above_one", "unsorted"])
+    def test_tv_rejects_malformed_atoms(self, atoms, fair_path, tmp_path, capsys):
+        data = {"discrete_weight": 1, "atoms": atoms}
+        with pytest.raises(InputError):
+            law_from_dict(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
         assert main(["tv", str(bad), fair_path]) == 2
         assert "input error" in capsys.readouterr().err
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qidlab import dist
-from qidlab.dist import (Atom, DensityLaw, DiscreteLaw, Law, continuous_bernoulli,
+from qidlab import config, dist
+from qidlab.dist import (DensityLaw, DiscreteLaw, Law, continuous_bernoulli,
                          convolve, is_shift_symmetric, l1_modulus, law_from_atoms,
                          mix, point_mass, restrict_density, shift_scale,
                          support_info, tv_distance, uniform_density)
@@ -14,15 +14,15 @@ from qidlab.errors import InputError, LawShapeError, NotLatticeError
 class TestTypes:
     def test_atom_rejects_nonpositive_mass(self):
         with pytest.raises(InputError):
-            Atom(0.0, 0.0)
+            DiscreteLaw(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         with pytest.raises(InputError):
-            Atom(0.0, -0.1)
+            DiscreteLaw(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
 
     def test_discrete_law_mass_and_order(self):
         with pytest.raises(InputError):
-            DiscreteLaw((Atom(0.0, 0.5), Atom(1.0, 0.6)))
+            DiscreteLaw(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
         with pytest.raises(InputError):
-            DiscreteLaw((Atom(1.0, 0.5), Atom(0.0, 0.5)))
+            DiscreteLaw(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
     def test_density_law_invariants(self):
         with pytest.raises(InputError):
@@ -39,7 +39,7 @@ class TestTypes:
                                        [(0.0, -0.5), (1.0, 1.0)]])
     def test_atoms_must_be_finite(self, pairs):
         with pytest.raises(InputError):
-            DiscreteLaw(tuple(Atom(x, m) for x, m in pairs))
+            DiscreteLaw(*np.array(pairs).T)
         with pytest.raises(InputError):
             law_from_atoms(pairs)
 
@@ -56,7 +56,7 @@ class TestTypes:
             DensityLaw(origin, 0.5, np.array(samples))
 
     def test_law_shape_constraints(self):
-        d = DiscreteLaw((Atom(0.0, 1.0),))
+        d = DiscreteLaw(np.array([0.0]), np.array([1.0]))
         with pytest.raises(InputError):
             Law(0.0, d, None)
         with pytest.raises(InputError):
@@ -139,6 +139,54 @@ class TestShiftSymmetry:
 
     def test_continuous_bernoulli_not_symmetric(self):
         assert not is_shift_symmetric(continuous_bernoulli(0.4, 1.0, "plus"))
+
+    @pytest.mark.parametrize("law, expected", [
+        (law_from_atoms([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]), True),
+        (law_from_atoms([(0.0, 0.2), (1.0, 0.5), (2.0, 0.3)]), False),
+        (law_from_atoms([(0.0, 0.25), (1.0, 0.5), (3.0, 0.25)]), False),
+        (law_from_atoms([(0.0, 0.25), (1.0, 0.25), (2.0, 0.5)]), False),
+        # the middle atom misses the centre by 0.9e-9 and 1.1e-9: its
+        # mirror lies 1.8e-9 and 2.2e-9 away, against loc_tol = 2e-9
+        (law_from_atoms([(0.0, 0.25), (1.0 + 0.9e-9, 0.5), (2.0, 0.25)]), True),
+        (law_from_atoms([(0.0, 0.25), (1.0 + 1.1e-9, 0.5), (2.0, 0.25)]), False),
+        # loc_tol = 1e-9 * width = 1e-5 on a support of width 1e4
+        (law_from_atoms([(0.0, 0.25), (5e3 + 0.4e-5, 0.5), (1e4, 0.25)]), True),
+        (law_from_atoms([(0.0, 0.25), (5e3 + 0.6e-5, 0.5), (1e4, 0.25)]), False),
+        # mirrored masses differ by 0.9e-9 and 1.1e-9, against tol = 1e-9
+        (law_from_atoms([(0.0, 0.25 + 0.9e-9), (1.0, 0.5 - 0.9e-9), (2.0, 0.25)]), True),
+        (law_from_atoms([(0.0, 0.25 + 1.1e-9), (1.0, 0.5 - 1.1e-9), (2.0, 0.25)]), False),
+        (mix(0.5, law_from_atoms([(0.0, 0.5), (1.0, 0.5)]), uniform_density(0.0, 1.0)), True),
+        (mix(0.5, law_from_atoms([(0.0, 0.2), (1.0, 0.8)]), uniform_density(0.0, 1.0)), False),
+        (mix(0.3, point_mass(0.25), uniform_density(0.0, 1.0)), False),
+        (Law(1.0, DiscreteLaw(np.arange(20_000.0), np.full(20_000, 1 / 20_000)), None), True),
+    ])
+    def test_matches_per_atom_search(self, law, expected):
+        assert is_shift_symmetric(law) == shift_symmetric_by_atom_search(law) == expected
+
+
+def shift_symmetric_by_atom_search(F: Law, tol: float = config.SHIFT_SYMMETRY_TOL) -> bool:
+    """Oracle for is_shift_symmetric: each atom x looks up its mirror
+    2c - x among its two sorted neighbours and compares masses."""
+    info = support_info(F)
+    c = info.cext
+    width = max(info.rext - info.lext, 1.0)
+    if F.discrete is not None:
+        locs, masses = F.discrete.locations, F.discrete.masses
+        loc_tol = max(config.ATOM_MERGE_TOL, 1e-9 * width)
+        for x, m in zip(locs, masses):
+            j = np.searchsorted(locs, 2.0 * c - x)
+            ok = False
+            for k in (j - 1, j):
+                if 0 <= k < len(locs) and abs(locs[k] - (2.0 * c - x)) <= loc_tol:
+                    ok = abs(masses[k] - m) <= tol * max(1.0, m)
+            if not ok:
+                return False
+    if F.continuous is not None:
+        d = F.continuous
+        xs = np.union1d(d.nodes, 2.0 * c - d.nodes)
+        if np.max(np.abs(d.pdf(xs) - d.pdf(2.0 * c - xs))) > tol * max(np.max(d.samples), 1.0):
+            return False
+    return True
 
 
 class TestMix:

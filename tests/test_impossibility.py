@@ -140,6 +140,17 @@ class TestInfScan:
         assert repg.minima[-1][1] < 0.1
         assert repp.minima[-1][1] < 0.1
 
+    def test_polish_only_when_the_grid_minimum_drops(self, monkeypatch):
+        # over (1e3, 1e4] no grid point beats the dip found by t = 1e3
+        calls = []
+        polish = impossibility._polish_keep
+        monkeypatch.setattr(impossibility, "_polish_keep",
+                            lambda *a: calls.append(a) or polish(*a))
+        rep = inf_scan(GOLDEN, [1e3, 1e4], 0.01)
+        assert len(calls) == 1
+        assert rep.minima[0][1:] == rep.minima[1][1:]
+        assert rep.minima[1][1] == pytest.approx(GOLDEN_MINIMA[2], rel=1e-9)
+
     def test_rational_stabilizes_at_period_floor(self):
         frac = Fraction(3, 2)
         floor, _ = one_period_floor(frac, 0.001)
