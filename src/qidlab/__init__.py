@@ -13,7 +13,7 @@ from .dist import (Atom, DensityLaw, DiscreteLaw, Law, SupportInfo,
                    uniform_density)
 from .errors import (InputError, LawShapeError, MethodError, NotLatticeError,
                      PipelineError, QidlabError, SelectionUnverifiableError,
-                     SpectralExtractionError, WindowError, ZeroOnPathError)
+                     SpectralExtractionError, ZeroOnPathError)
 from .impossibility import (InfScanReport, KutluScan, inf_scan, kutlu_phi,
                             kutlu_zero_scan, one_period_floor, parse_alpha,
                             three_point_cf)
@@ -42,5 +42,5 @@ __all__ = [
     "three_point_cf", "inf_scan", "one_period_floor", "parse_alpha",
     "QidlabError", "InputError", "LawShapeError", "NotLatticeError",
     "MethodError", "ZeroOnPathError", "SelectionUnverifiableError",
-    "WindowError", "SpectralExtractionError", "PipelineError",
+    "SpectralExtractionError", "PipelineError",
 ]

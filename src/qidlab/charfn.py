@@ -34,7 +34,7 @@ from . import config
 from ._fft import TaylorTable
 from .dist import DiscreteLaw, Law
 from .errors import (BranchTrackingError, IdenticallyZeroImagError, InputError,
-                     LawShapeError, WindowError, ZeroOnPathError)
+                     LawShapeError, ZeroOnPathError)
 
 # Complex entries allowed in one block of CF products: blocks of t
 # values get BLOCK_ENTRIES // columns rows, the columns being the M + 1
@@ -65,9 +65,9 @@ class ZeroFreeCertificate:
     """Scan evidence that |f| stays positive: window, resolution,
     minimum found and where.
 
-    tail_bound, when present, bounds the sampled modulus of the
-    continuous-part contribution beyond the window, so the atom
-    coefficient dominates out there.
+    tail_bound, when present, is a proven bound on the modulus of the
+    continuous-part contribution at every |t| > window_T (the closed
+    form of decay_window), so the atom coefficient dominates out there.
     """
 
     window_T: float
@@ -116,7 +116,6 @@ class CharFn:
             self._h = d.grid_step
         else:
             self._nodes = None
-        self._profile: tuple[float, np.ndarray, np.ndarray, float] | None = None
 
     @cached_property
     def _atom_table(self) -> TaylorTable:
@@ -154,41 +153,10 @@ class CharFn:
         out = _blocked(np.atleast_1d(np.asarray(t, dtype=float)), self._mixed_sum, self._width)
         return out if np.ndim(t) else complex(out[0])
 
-    def continuous_part(self, t):
-        """Normalized CF of the continuous part alone (own mass 1)."""
-        if self._nodes is None:
-            raise LawShapeError("law has no density part")
-        out = _blocked(np.atleast_1d(np.asarray(t, dtype=float)), self._node_sum, self._width)
-        return out if np.ndim(t) else complex(out[0])
-
     def eval_grid(self, t0: float, dt: float, n: int) -> np.ndarray:
         """CF values on the uniform grid t0 + dt*arange(n), from the same
         tables as __call__."""
         return _blocked(t0 + dt * np.arange(n), self._mixed_sum, self._width)
-
-    def decay_profile(self, t_max: float = config.DECAY_TMAX):
-        """Sampled right-tail suprema of the continuous-part modulus.
-
-        Returns (ts, tail_max, period): tail_max[i] is the maximum of
-        the sampled |continuous CF| on [ts[i], t_max]. Computed once and
-        cached; the sampling resolves the CF oscillation scale
-        2*pi/width.
-        """
-        if self._nodes is None:
-            raise LawShapeError("law has no density part")
-        if self._profile is None or self._profile[0] < t_max:
-            width = max(float(self._nodes[-1] - self._nodes[0]), self._h)
-            period = 2.0 * math.pi / width
-            step = period / config.DECAY_SAMPLES_PER_OSCILLATION
-            n = int(math.ceil(t_max / step))
-            ts = step * np.arange(1, n + 1)
-            pure = CharFn(Law(0.0, None, self.law.continuous))
-            mods = np.abs(pure.eval_grid(step, step, n))
-            tail_max = np.maximum.accumulate(mods[::-1])[::-1]
-            # a wider profile is conservative for narrower queries: its
-            # right-tail suprema only grow, so keep the widest one
-            self._profile = (t_max, ts, tail_max, period)
-        return self._profile[1:]
 
 
 def _blocked(t: np.ndarray, part, width: int) -> np.ndarray:
@@ -314,26 +282,25 @@ def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
                                min_modulus=best_v, argmin_t=best_t)
 
 
-def decay_window(f: CharFn, threshold: float, t_max: float = config.DECAY_TMAX) -> float:
-    """Smallest T* such that the sampled modulus of the continuous-part
-    CF stays below threshold on (T*, t_max].
+def decay_window(f: CharFn, threshold: float) -> float:
+    """T* = min(V/threshold, sqrt(J/threshold)), beyond which the
+    continuous-part CF (own mass 1) has modulus below threshold.
 
-    The scan resolves the CF oscillation scale 2*pi/width and the
-    returned window is padded by one oscillation period, so the report
-    stays conservative with respect to between-sample peaks. Raises
-    WindowError when even the tail of the sampled range is not below
-    threshold.
+    The piecewise-linear density p with samples s_i, zero at both grid
+    ends, has total variation V = sum |s_{i+1} - s_i|, and p' has jumps
+    summing in modulus to J = sum |s_{i+1} - 2 s_i + s_{i-1}| / h (the
+    ends padded with zeros). Integrating by parts once and twice gives
+    |phi_c(t)| <= V/|t| and <= J/t^2 at every real t, so the window is
+    a proof for all |t| > T*, read from the samples alone.
     """
     if threshold <= 0:
         raise InputError("threshold must be positive")
-    if f.law.continuous is None:
+    d = f.law.continuous
+    if d is None:
         raise LawShapeError("decay_window needs a density part")
-    ts, tail_max, period = f.decay_profile(t_max)
-    below = np.nonzero(tail_max < threshold)[0]
-    if below.size == 0:
-        raise WindowError(
-            f"sampled |cf| does not drop below {threshold} up to t={t_max}")
-    return float(ts[below[0]]) + period
+    V = float(np.sum(np.abs(np.diff(d.samples))))
+    J = float(np.sum(np.abs(np.diff(d.samples, n=2, prepend=0.0, append=0.0)))) / d.grid_step
+    return min(V / threshold, math.sqrt(J / threshold))
 
 
 def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:

@@ -43,10 +43,9 @@ MAX_BRANCH_HALVINGS = 16
 REFINE_XTOL = 1e-12
 REFINE_TOP = 5
 
-# Decay-window scan: frequency cap and samples per CF oscillation.
-DECAY_TMAX = 2048.0
+# Zero-free scans of laws with a density part: grid samples per CF
+# oscillation 2*pi/width.
 SAMPLES_PER_OSCILLATION = 64
-DECAY_SAMPLES_PER_OSCILLATION = 16
 
 # Zero-free scans: default cells per window, total-point cap for wide
 # windows, and the window inside which bad mixing weights are collected.

@@ -48,11 +48,6 @@ class SelectionUnverifiableError(MethodError):
     zero-free certificate."""
 
 
-class WindowError(MethodError):
-    """Requested decay threshold is unreachable inside the configured
-    frequency range."""
-
-
 class SpectralExtractionError(MethodError):
     """Spectral pair not extractable (characteristic function has a
     zero or near-zero on the scan)."""

@@ -91,12 +91,17 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     branch winding, so it lands on the law's lattice. The weights of
     the same FFT at K < |k| <= n/2 give the pair's tail_mass. The
     residual is the round-trip error on 4*max(256, 8K) nodes of one
-    period, from two more inverse FFTs (_fft_residual).
+    period, from two more inverse FFTs (_fft_residual). A K whose
+    max(256, 8K) exceeds BLOCK_ENTRIES is rejected before any FFT.
     """
     if K < 0:
         raise InputError("truncation order K must be nonnegative")
     if not F.is_pure_discrete:
         raise LawShapeError("spectral extraction needs a pure lattice law")
+    n_nodes = max(256, 8 * K)
+    if n_nodes > BLOCK_ENTRIES:
+        raise InputError(f"truncation order K={K} needs max(256, 8K) = {n_nodes} nodes, "
+                         f"above the limit of {BLOCK_ENTRIES} (K <= {BLOCK_ENTRIES // 8})")
     a, b = F.discrete.lattice_params()
     c = np.bincount(F.discrete.lattice_fit[2], weights=F.discrete.masses)
     if b == 0.0:
@@ -104,7 +109,6 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     period = 2.0 * math.pi / b
     ks = np.arange(c.size)
     slack = math.pi * float(np.abs(ks - ks @ c / c.sum()) @ c)
-    n_nodes = max(256, 8 * K)
     n = 1 << (max(n_nodes, 4 * c.size) - 1).bit_length()
     while True:
         if n > BLOCK_ENTRIES:

@@ -19,7 +19,7 @@ from . import config
 from .charfn import (CharFn, ZeroFreeCertificate, _merge_close, decay_window, imag_zero_scan,
                      min_modulus_scan)
 from .dist import Law, is_shift_symmetric, mix, point_mass, support_info
-from .errors import InputError, SelectionUnverifiableError, WindowError
+from .errors import InputError, SelectionUnverifiableError
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,23 @@ class DeltaSelection:
             raise InputError("certificate must have positive minimum")
 
 
-def _scan_params(F0: Law, delta_hint: float, fa: CharFn | None,
+def _scan_params(f0: CharFn, delta_hint: float,
                  cap: float | None = None) -> tuple[float, float, float | None]:
     """Window and step for scans of delta*e^{it*gamma0} + (1-delta)*f0.
 
     Lattice part: one CF period 2*pi/span is exhaustive. Density part:
-    a decay window beyond which the atom coefficient dominates the
-    density contribution at the hinted delta (fa is the shared density
-    CharFn carrying the cached decay profile). Returns (T, step,
-    tail_bound), tail_bound being the dominated density contribution
-    beyond T (None without a density part). The step coarsens so the
-    total point count stays below the configured cap.
+    the decay_window beyond which the density contribution to the
+    mixture stays below delta_hint/2 in modulus, a bound that holds at
+    every |t| past the window. Returns (T, step, tail_bound), tail_bound
+    being that delta_hint/2 (None without a density part, or when cap
+    cuts the density window short). The step coarsens so the total
+    point count stays below the configured cap.
     """
+    F0 = f0.law
     T_lattice = 0.0
     T_density = 0.0
     step = math.inf
     tail = None
-    w = F0.discrete_weight
     if F0.discrete is not None and F0.discrete.locations.size >= 2:
         a, b = F0.discrete.lattice_params()
         period = 2.0 * math.pi / b
@@ -73,22 +73,12 @@ def _scan_params(F0: Law, delta_hint: float, fa: CharFn | None,
         d = F0.continuous
         width = max(d.nodes[-1] - d.grid_origin, d.grid_step)
         step = min(step, (2.0 * math.pi / width) / config.SAMPLES_PER_OSCILLATION)
-        coeff = (1.0 - delta_hint) * (1.0 - w)
-        threshold = delta_hint / (2.0 * coeff) if coeff > 0 else 1.0
-        if threshold < 0.95:
-            try:
-                T_density = decay_window(fa, threshold)
-                tail = 0.5 * delta_hint
-            except WindowError:
-                # decay too slow for full dominance: scan the whole
-                # configured range and record the honest sampled tail
-                ts, tail_max, _ = fa.decay_profile()
-                T_density = float(ts[-1])
-                tail = coeff * float(tail_max[-1])
-        else:
-            T_density = 4.0 * math.pi / width
-        if cap is not None:
-            T_density = min(T_density, cap)
+        coeff = (1.0 - delta_hint) * (1.0 - F0.discrete_weight)
+        T_density = decay_window(f0, delta_hint / (2.0 * coeff))
+        tail = 0.5 * delta_hint
+        if cap is not None and T_density > cap:
+            # the bound covers only |t| past the uncapped window
+            T_density, tail = cap, None
     T = max(T_lattice, T_density)
     if T == 0.0:
         T = 4.0 * math.pi
@@ -164,16 +154,15 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
-    fa = CharFn(Law(0.0, None, F0.continuous)) if F0.continuous is not None else None
-    T0, _, _ = _scan_params(F0, delta_hint=0.5 * tau, fa=fa,
-                            cap=config.BADSET_WINDOW)
-    bad = bad_delta_set(CharFn(F0), gamma0, T0, _root_scan_step(F0, gamma0))
+    f0 = CharFn(F0)
+    T0, _, _ = _scan_params(f0, delta_hint=0.5 * tau, cap=config.BADSET_WINDOW)
+    bad = bad_delta_set(f0, gamma0, T0, _root_scan_step(F0, gamma0))
     last_min = 0.0
     for delta in _candidate_ladder(bad, tau):
         if any(abs(delta - d) < config.DELTA_SEPARATION for d in bad):
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
-        T, step, tail = _scan_params(F0, delta_hint=delta, fa=fa)
+        T, step, tail = _scan_params(f0, delta_hint=delta)
         cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
         last_min = max(last_min, cert.min_modulus)
         if cert.min_modulus > config.CERTIFICATE_FLOOR:

@@ -7,10 +7,10 @@ from qidlab import charfn, config
 from qidlab._fft import TaylorTable
 from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
                            min_modulus_scan, parabolic_polish)
-from qidlab.dist import (continuous_bernoulli, convolve, law_from_atoms, mix,
+from qidlab.dist import (Law, continuous_bernoulli, convolve, law_from_atoms, mix,
                          point_mass, uniform_density)
 from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
-                           WindowError, ZeroOnPathError)
+                           ZeroOnPathError)
 from qidlab.pipelines import approximate_abs_cont
 from qidlab.zerofree import _root_scan_step
 from conftest import case_1b_law, heavy_lattice_law, poisson_law
@@ -48,30 +48,35 @@ class TestEval:
     def test_tiny_block_budget_agrees(self, monkeypatch, skewed_two_atom, truncated_normal):
         law = mix(0.3, skewed_two_atom, truncated_normal)
         ts = np.linspace(-25.0, 25.0, 1201)
-        f = CharFn(law)
-        ref = (f(ts), f.continuous_part(ts), f.eval_grid(-25.0, 0.05, 1001))
+        f, pure = CharFn(law), CharFn(Law(0.0, None, law.continuous))
+        ref = (f(ts), pure(ts), f.eval_grid(-25.0, 0.05, 1001))
         monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 7)
-        got = (f(ts), f.continuous_part(ts), f.eval_grid(-25.0, 0.05, 1001))
+        got = (f(ts), pure(ts), f.eval_grid(-25.0, 0.05, 1001))
         for a, b in zip(ref, got):
             assert np.max(np.abs(a - b)) < 1e-13
 
     def test_dense_blocks_within_budget(self, monkeypatch, skewed_two_atom, truncated_normal):
         law = mix(0.3, skewed_two_atom, truncated_normal)
-        f = CharFn(law)
+        f, pure = CharFn(law), CharFn(Law(0.0, None, law.continuous))
         # one Horner column per Taylor order of the atom and node tables
-        width = f._atom_table.order + 1 + law.continuous.node_table.order + 1
+        node_width = law.continuous.node_table.order + 1
+        width = f._atom_table.order + 1 + node_width
         monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 3 * width)
-        rows = []
-        for name in ("_atom_sum", "_node_sum"):
-            part = getattr(f, name)
-            monkeypatch.setattr(f, name, lambda t, part=part: rows.append(t.size) or part(t))
+        rows, pure_rows = [], []
+        for cf, seen in ((f, rows), (pure, pure_rows)):
+            for name in ("_atom_sum", "_node_sum"):
+                part = getattr(cf, name)
+                monkeypatch.setattr(cf, name,
+                                    lambda t, part=part, seen=seen: seen.append(t.size) or part(t))
         ts = np.linspace(-5.0, 5.0, 100)
         f(ts)
-        f.continuous_part(ts)
+        pure(ts)
         f.eval_grid(-5.0, 0.1, 100)
-        # __call__ and eval_grid evaluate both parts, continuous_part one
-        assert sum(rows) == 5 * ts.size
+        # __call__ and eval_grid evaluate both parts of the mixture, the
+        # pure density law its nodes alone
+        assert sum(rows) == 4 * ts.size and sum(pure_rows) == ts.size
         assert max(rows) * width <= charfn.BLOCK_ENTRIES
+        assert max(pure_rows) * node_width <= charfn.BLOCK_ENTRIES
 
     def test_multiplicativity_discrete(self, fair_bernoulli, skewed_two_atom):
         out = convolve(fair_bernoulli, skewed_two_atom)
@@ -156,7 +161,8 @@ class TestPowerTable:
         ts = np.linspace(-300.0, 300.0, 241)
         ref = direct_density(out, ts)
         assert np.max(np.abs(f(ts) - ref)) <= 1e-12
-        assert np.max(np.abs(f.continuous_part(ts) - ref)) <= 1e-12
+        pure = CharFn(Law(0.0, None, out.continuous))
+        assert np.max(np.abs(pure(ts) - ref)) <= 1e-12
 
     def test_mixture_matches_direct_sum(self, uniform01):
         law = mix(0.3, law_from_atoms(GAPPED), uniform01)
@@ -348,9 +354,39 @@ class TestDecayWindow:
         f = CharFn(uniform01)
         assert decay_window(f, 0.05) > decay_window(f, 0.2)
 
-    def test_unreachable_threshold(self, uniform01):
-        with pytest.raises(WindowError):
-            decay_window(CharFn(uniform01), 1e-9, t_max=50.0)
+    def test_small_threshold_window_past_2048(self, uniform01):
+        # V/theta = 2e4 and sqrt(J/theta) = sqrt(4/(h*theta)) = 6400 for
+        # h = 1/1024: the window lies past t = 2048, and
+        # the modulus stays below the threshold beyond it
+        f = CharFn(uniform01)
+        t_star = decay_window(f, 1e-4)
+        assert 2048.0 < t_star == pytest.approx(6400.0, rel=1e-3)
+        ts = np.linspace(t_star, 1e5, 200_001)[1:]
+        assert np.max(np.abs(f(ts))) < 1e-4
+
+    @pytest.mark.parametrize("name", ["uniform01", "truncated_normal", "continuous_bernoulli",
+                                      "abs_cont_output"])
+    def test_closed_form_tail_bound(self, request, name):
+        # |phi_c(t)| <= min(V/|t|, J/t^2) at every t, here up to 1e5,
+        # with a rounding allowance of 1e-12
+        if name == "continuous_bernoulli":
+            law = continuous_bernoulli(0.4, 1.0, "plus", step=1.0 / 4096)
+        elif name == "abs_cont_output":
+            law = approximate_abs_cont(request.getfixturevalue("truncated_normal"),
+                                       0.05, 0.4, 0.5, "plus").approximant
+        else:
+            law = request.getfixturevalue(name)
+        assert law.is_pure_density
+        s, h = law.continuous.samples, law.continuous.grid_step
+        V = np.sum(np.abs(np.diff(s)))
+        J = np.sum(np.abs(np.diff(np.concatenate(([0.0], s, [0.0])), n=2))) / h
+        rng = np.random.default_rng(7)
+        ts = np.concatenate((np.geomspace(0.5, 1e5, 20_001), rng.uniform(2048.0, 1e5, 4000)))
+        ts = np.concatenate((ts, -ts))
+        bound = np.minimum(V / np.abs(ts), J / ts ** 2)
+        assert np.all(np.abs(CharFn(law)(ts)) <= bound + 1e-12)
+        # the window is where that bound meets the threshold
+        assert decay_window(CharFn(law), 0.01) == pytest.approx(min(V / 0.01, math.sqrt(J / 0.01)))
 
 
 def grid_sign_bisection(f0, gamma0, T, step):

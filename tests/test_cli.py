@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qidlab import impossibility
+from qidlab import impossibility, spectral
 from qidlab.cli import main
 from qidlab.dist import law_from_atoms, mix, point_mass
 from qidlab.errors import InputError
@@ -104,6 +105,37 @@ class TestExitCodes:
         code = main(["spectral-pair", fair_path, "-K", "10"])
         assert code == 3
         assert "not extractable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K, limit", [
+        (200_000, spectral.BLOCK_ENTRIES),
+        (spectral.BLOCK_ENTRIES // 8 + 1, spectral.BLOCK_ENTRIES),
+        (257, 2048),
+    ])
+    def test_spectral_K_past_node_limit_is_input_error(self, K, limit, tmp_path, capsys,
+                                                       monkeypatch):
+        # max(256, 8K) nodes above the limit: exit 2 naming it, before any FFT
+        path = tmp_path / "three.json"
+        save_law(law_from_atoms([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), str(path))
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", limit)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT before the K check")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, no_fft)
+        out = tmp_path / "pair.json"
+        assert main(["spectral-pair", str(path), "-K", str(K), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(limit) in err
+        assert not out.exists()
+
+    def test_spectral_K_at_node_limit_passes(self, tmp_path, monkeypatch):
+        path = tmp_path / "three.json"
+        save_law(law_from_atoms([(0.0, 0.5), (1.0, 0.3), (2.0, 0.2)]), str(path))
+        monkeypatch.setattr(spectral, "BLOCK_ENTRIES", 2048)
+        out = tmp_path / "pair.json"
+        assert main(["spectral-pair", str(path), "-K", "256", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["residual"] < 1e-10
 
 
 class TestCommands:

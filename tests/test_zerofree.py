@@ -5,7 +5,7 @@ import pytest
 
 from qidlab import config
 from qidlab.charfn import CharFn
-from qidlab.dist import law_from_atoms, mix, point_mass
+from qidlab.dist import Law, law_from_atoms, mix, point_mass
 from qidlab.errors import InputError
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
 from conftest import heavy_lattice_law
@@ -180,6 +180,25 @@ class TestSelectDelta:
         assert 0.0 < sel.delta < 0.05
         assert sel.certificate.min_modulus > 0.0
         assert sel.certificate.tail_bound is not None
+
+    @pytest.mark.parametrize("name", ["uniform01", "mixture"])
+    def test_density_tail_bound_holds_past_window(self, request, name, skewed_two_atom):
+        # (1 - delta)(1 - w)|phi_c(t)| <= tail_bound = delta/2 at every
+        # |t| > window_T, sampled here out to 50 windows
+        if name == "mixture":
+            law = mix(0.3, skewed_two_atom, request.getfixturevalue("truncated_normal"))
+        else:
+            law = request.getfixturevalue(name)
+        sel = select_delta(law, 0.0, 0.05)
+        cert = sel.certificate
+        assert cert.tail_bound == 0.5 * sel.delta
+        rng = np.random.default_rng(11)
+        ts = cert.window_T * np.concatenate((np.linspace(1.0, 50.0, 100_001)[1:],
+                                             rng.uniform(1.0, 50.0, 2000)))
+        ts = np.concatenate((ts, -ts))
+        phi_c = CharFn(Law(0.0, None, law.continuous))(ts)
+        contribution = (1.0 - sel.delta) * (1.0 - law.discrete_weight) * np.abs(phi_c)
+        assert np.max(contribution) <= cert.tail_bound
 
     def test_gamma_off_center_on_symmetric_law_ok(self, fair_bernoulli):
         sel = select_delta(fair_bernoulli, 0.0, 0.5)
