@@ -13,6 +13,11 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
+# complex entries a TaylorTable may hold: 16 * charfn.BLOCK_ENTRIES, 256 MiB
+TABLE_ENTRIES = 1 << 24
+
 
 class TaylorTable:
     """Evaluator of S(t) = sum_k c[k] exp(it(x0 + k*step)) for real t.
@@ -34,7 +39,9 @@ class TaylorTable:
 
     and its remainder is below that sum times 1/(1 - a/(M+2)) < 1.25, so
     the table is exact to rounding at every t: each point costs O(M)
-    (M at most 13) whatever the length of c.
+    (M at most 13) whatever the length of c. A table of more than
+    TABLE_ENTRIES entries, (M + 1)*N, is refused with InputError before
+    it is allocated.
     """
 
     def __init__(self, x0: float, step: float, c: np.ndarray):
@@ -51,6 +58,9 @@ class TaylorTable:
         while float(term.sum()) > floor:
             order += 1
             term *= a / (order + 1)
+        if (order + 1) * self.n_fft > TABLE_ENTRIES:
+            raise InputError(f"Taylor table of {order + 1} x {self.n_fft} entries for "
+                             f"{n} coefficients exceeds the limit of {TABLE_ENTRIES}")
         self.order = order
         self._centre = x0 + kc * step
         self._scale = step * self.n_fft / (2.0 * math.pi)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qidlab import impossibility, spectral
+from qidlab import _fft, impossibility, spectral
 from qidlab.cli import main
-from qidlab.dist import law_from_atoms, mix, point_mass
+from qidlab.dist import law_from_atoms, mix, point_mass, uniform_density
 from qidlab.errors import InputError
 from qidlab.jsonio import canonical_dumps, law_from_dict, law_to_dict, save_law
 
@@ -127,6 +127,18 @@ class TestExitCodes:
         assert main(["spectral-pair", str(path), "-K", str(K), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and str(limit) in err
+        assert not out.exists()
+
+    def test_taylor_table_past_limit_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # a 256-cell density's node table has N = 2048 columns
+        path = tmp_path / "uniform.json"
+        save_law(uniform_density(0.0, 1.0, cells=256), str(path))
+        monkeypatch.setattr(_fft, "TABLE_ENTRIES", 2000)
+        out = tmp_path / "res.json"
+        assert main(["approximate", str(path), "--mode", "abs", "--eps", "0.05",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "limit of 2000" in err
         assert not out.exists()
 
     def test_spectral_K_at_node_limit_passes(self, tmp_path, monkeypatch):

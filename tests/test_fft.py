@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import qidlab
-from qidlab import _fft
+from qidlab import _fft, charfn
+from qidlab.errors import InputError
 
 
 def _remainder(c, table, order):
@@ -47,6 +48,27 @@ class TestTaylorTable:
         assert _remainder(c, table, table.order) <= floor
         if table.order > 0:
             assert _remainder(c, table, table.order - 1) > floor
+
+    def test_budget_is_sixteen_blocks(self):
+        assert _fft.TABLE_ENTRIES == 16 * charfn.BLOCK_ENTRIES
+
+    def test_million_coefficients_refused_before_allocation(self, monkeypatch):
+        # N = 2^22 nodes and 14 rows: about 59 M entries, 0.9 GB
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np.fft, "ifft", no_alloc)
+        with pytest.raises(InputError, match=str(_fft.TABLE_ENTRIES)):
+            _fft.TaylorTable(0.0, 1.0, np.full(10 ** 6, 1e-6))
+
+    def test_table_at_limit_passes_and_past_it_is_refused(self, monkeypatch):
+        c = np.full(300, 1 / 300)
+        entries = (_fft.TaylorTable(0.0, 1.0, c).order + 1) * 2048
+        monkeypatch.setattr(_fft, "TABLE_ENTRIES", entries)
+        assert _fft.TaylorTable(0.0, 1.0, c).n_fft == 2048
+        monkeypatch.setattr(_fft, "TABLE_ENTRIES", entries - 1)
+        with pytest.raises(InputError, match=f"limit of {entries - 1}"):
+            _fft.TaylorTable(0.0, 1.0, c)
 
 
 class TestParity:

@@ -1,15 +1,48 @@
 import math
 
+import numpy as np
 import pytest
 
+from qidlab import pipelines
 from qidlab.charfn import CharFn, min_modulus_scan
-from qidlab.dist import (law_from_atoms, mix, point_mass, support_info,
-                         tv_distance)
+from qidlab.dist import (continuous_bernoulli, convolve, density_from_callable,
+                         law_from_atoms, law_from_density, mix, point_mass,
+                         support_info, tv_distance)
 from qidlab.errors import InputError, LawShapeError
-from qidlab.pipelines import (approximate_abs_cont, approximate_lattice,
-                              approximate_mixture, truncate_density,
-                              truncate_lattice)
+from qidlab.pipelines import (_choose_smoothing, _kernel_step, approximate_abs_cont,
+                              approximate_lattice, approximate_mixture,
+                              truncate_density, truncate_lattice)
 from conftest import geometric_law
+
+
+def three_bumps():
+    return density_from_callable(
+        lambda x: (np.exp(-0.5 * ((x - 0.2) / 0.05) ** 2)
+                   + 0.5 * np.exp(-0.5 * ((x - 0.5) / 0.03) ** 2)
+                   + np.exp(-0.5 * ((x - 0.8) / 0.08) ** 2)), 0.0, 1.0, cells=400)
+
+
+def two_cell_spike():
+    return law_from_density(0.0, 0.01, [0.0, 100.0, 0.0])
+
+
+def smoothing_law(name, request):
+    """A conftest fixture by name, or one of the two laws above."""
+    make = {"bumps": three_bumps, "spike": two_cell_spike}.get(name)
+    return make() if make else request.getfixturevalue(name)
+
+
+def ladder_oracle(F, eps, q, tau, side):
+    """The convolve-and-measure ladder _choose_smoothing replaced: halve
+    tau until the measured tv(F, F * kernel) is below eps."""
+    h = F.continuous.grid_step
+    for _ in range(40):
+        tau *= 0.5
+        kernel = continuous_bernoulli(q, tau, side, step=_kernel_step(h, tau))
+        value, bound = tv_distance(F, convolve(F, kernel))
+        if value + bound < eps:
+            return tau
+    raise AssertionError("oracle ladder exhausted")
 
 
 class TestTruncateDensity:
@@ -145,6 +178,55 @@ class TestApproximateAbsCont:
     def test_requires_density(self, fair_bernoulli):
         with pytest.raises(LawShapeError):
             approximate_abs_cont(fair_bernoulli, 0.1, 0.4, 0.5, "plus")
+
+
+class TestSmoothingBound:
+    @pytest.mark.parametrize("law", ["uniform01", "truncated_normal", "bumps", "spike"])
+    @pytest.mark.parametrize("q", [0.1, 0.4, 0.9])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_bound_covers_measured_tv(self, law, q, side, request):
+        F = smoothing_law(law, request)
+        # the 6-wide normal at tau 1e-3 resamples to 2^21 cells: one case
+        taus = [0.5, 0.03, 5e-3]
+        if law != "truncated_normal" or (q, side) == (0.4, "plus"):
+            taus.append(1e-3)
+        for tau in taus:
+            # an infinite eps stops the ladder at its first rung, tau
+            kernel, tau_k, bound = _choose_smoothing(F, math.inf, q, 2.0 * tau, side)
+            assert tau_k == tau
+            value, _ = tv_distance(F, convolve(F, kernel))
+            assert value <= bound
+            # the bound is tight: the shifts are small against F's features
+            if tau <= 0.03 and law != "spike":
+                assert value >= 0.9 * bound
+
+    @pytest.mark.parametrize("law", ["uniform01", "truncated_normal", "bumps", "spike"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_same_tau_as_measured_ladder(self, law, side, request):
+        F = smoothing_law(law, request)
+        eps, q, tau = 0.1, 0.4, 0.5
+        _, tau_k, bound = _choose_smoothing(F, eps, q, tau, side)
+        oracle = ladder_oracle(F, eps, q, tau, side)
+        assert bound < eps
+        assert tau_k <= oracle
+        if law != "spike":
+            assert tau_k == oracle
+
+    def test_no_convolution_or_measurement(self, truncated_normal, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the smoothing ladder convolved or measured")
+
+        monkeypatch.setattr(pipelines, "convolve", forbidden)
+        monkeypatch.setattr(pipelines, "tv_distance", forbidden)
+        _, _, bound = _choose_smoothing(truncated_normal, 0.05, 0.4, 0.5, "plus")
+        assert bound < 0.05
+
+    def test_result_records_margin(self, truncated_normal):
+        eps = 0.05
+        res = approximate_abs_cont(truncated_normal, eps, 0.4, 0.5, "minus")
+        _, tau_k, bound = _choose_smoothing(truncated_normal, eps, 0.4, 0.5, "minus")
+        assert res.params["tau_eps"] == tau_k
+        assert res.params["smoothing_bound"] == bound < eps
 
 
 class TestApproximateMixture:
