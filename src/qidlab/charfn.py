@@ -1,5 +1,5 @@
-"""Characteristic-function evaluation, zero scanning and the
-distinguished logarithm.
+"""Characteristic-function evaluation, zero scanning and the log
+branch of a lattice polynomial.
 
 For the grid densities of :mod:`qidlab.dist` the characteristic
 function is evaluated in closed form: the transform of a unit hat of
@@ -19,11 +19,15 @@ built once per CharFn, the node table once per DensityLaw and shared
 by every CharFn over it. Atoms off a lattice, or on a lattice whose
 coefficient array would be much longer than the atom list, keep the
 dense exp(itx) product.
+
+The log branch of a lattice polynomial P(theta) = sum_k c_k e^{ik*theta}
+(_track_branch, which spectral extraction reads) is one inverse FFT of
+c over a period, on a grid doubled until the modulus floor is proved
+between nodes and every log increment is below pi/2.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +37,8 @@ import numpy as np
 from . import config
 from ._fft import TaylorTable
 from .dist import DiscreteLaw, Law
-from .errors import (BranchTrackingError, IdenticallyZeroImagError, InputError,
-                     LawShapeError, ZeroOnPathError)
+from .errors import (IdenticallyZeroImagError, InputError, LawShapeError,
+                     SpectralExtractionError)
 
 # Complex entries allowed in one block of CF products: blocks of t
 # values get BLOCK_ENTRIES // columns rows, the columns being the M + 1
@@ -81,15 +85,6 @@ class ZeroFreeCertificate:
             raise InputError("window and grid step must be positive")
         if self.min_modulus < 0:
             raise InputError("min_modulus must be nonnegative")
-
-
-@dataclass(frozen=True)
-class LogBranch:
-    """Continuous branch of log f on a uniform t grid with log f(0) = 0."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    branch_step: float
 
 
 class CharFn:
@@ -404,40 +399,34 @@ def _merge_close(values, tol: float = max(10 * config.REFINE_XTOL, 1e-12)) -> li
     return out
 
 
-def _track_branch(fn, T: float, step: float, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous log of fn over [0, T], halving the step until each
-    increment of log is below pi/2."""
-    cur = step
-    for _ in range(config.MAX_BRANCH_HALVINGS + 1):
-        n = int(round(T / cur))
-        ts = np.linspace(0.0, n * cur, n + 1)
-        vals = np.asarray(fn(ts), dtype=complex)
-        mods = np.abs(vals)
-        if float(mods.min()) < floor:
-            raise ZeroOnPathError(
-                f"modulus {mods.min():.3e} below floor {floor:.3e} at "
-                f"t={ts[int(np.argmin(mods))]:.6g}: possible zero on path")
-        ratios = vals[1:] / vals[:-1]
-        steps_log = np.log(ratios)
-        if float(np.max(np.abs(steps_log))) < 0.5 * math.pi:
-            logs = np.concatenate(([0.0], np.cumsum(steps_log)))
-            # absorb the modulus of f(0) (1 for probability laws) exactly
-            logs += cmath.log(vals[0]) - logs[0]
-            return ts, logs
-        cur *= 0.5
-    raise BranchTrackingError(
-        "phase increment stayed >= pi/2 at the minimal tracking step")
+def _track_branch(c: np.ndarray, n: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the lattice polynomial P(theta) = sum_k c_k e^{ik*theta},
+    c_k >= 0, at the nodes theta_j = 2*pi*j/n of one period (one inverse
+    FFT), with the increments log(P(theta_{j+1}) / P(theta_j)) of its
+    log branch, the last one closing the cycle back to theta_0.
 
-
-def distinguished_log(f: CharFn, T: float, step: float,
-                      floor: float = config.LOG_MODULUS_FLOOR) -> LogBranch:
-    """Continuous branch of log f on [0, T] with log f(0) = 0.
-
-    The step is halved until every per-step increment of the branch is
-    below pi/2, which pins the branch uniquely given no zero between
-    samples at the final resolution.
+    n doubles from the value given until the floor is proved: between
+    nodes |P| drops by at most (pi/n) * sum_k |k - kbar| c_k (kbar the
+    mean index), so the grid minimum less that slack must clear floor,
+    and every increment must be below pi/2, which pins the branch. A
+    node at or below floor, or n past BLOCK_ENTRIES, raises
+    SpectralExtractionError; t in its message is in periods 2*pi/b of
+    the lattice span b.
     """
-    if T <= 0 or step <= 0:
-        raise InputError("T and step must be positive")
-    ts, logs = _track_branch(f, T, step, floor)
-    return LogBranch(grid=ts, values=logs, branch_step=float(ts[1] - ts[0]))
+    ks = np.arange(c.size)
+    slack = math.pi * float(np.abs(ks - ks @ c / c.sum()) @ c)
+    while True:
+        if n > BLOCK_ENTRIES:
+            raise SpectralExtractionError(
+                f"not extractable: floor {floor:.3e} unproved on {BLOCK_ENTRIES} nodes")
+        vals = n * np.fft.ifft(c, n)
+        mods = np.abs(vals)
+        j = int(np.argmin(mods))
+        if mods[j] <= floor:
+            raise SpectralExtractionError(
+                f"not extractable: CF modulus falls to {mods[j]:.3e} near t={j / n:.6g}*2pi/b")
+        if mods[j] - slack / n > floor:
+            steps_log = np.log(np.roll(vals, -1) / vals)
+            if float(np.max(np.abs(steps_log))) < 0.5 * math.pi:
+                return vals, steps_log
+        n *= 2

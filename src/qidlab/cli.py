@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import config
 from .charfn import CharFn, min_modulus_scan
-from .config import RunConfig
 from .errors import InputError, MethodError
 from .impossibility import (inf_scan, kutlu_phi, kutlu_zero_scan, one_period_floor,
                             parse_alpha)
@@ -31,80 +29,67 @@ EXIT_INPUT = 2
 EXIT_METHOD = 3
 
 
-def _load_config() -> RunConfig:
-    path = os.environ.get("QIDLAB_CONFIG")
-    if path:
-        return RunConfig.from_file(path)
-    return RunConfig()
-
-
-def _write_json(payload: dict, out: str | None, cfg: RunConfig, default_name: str) -> str:
-    path = out or os.path.join(cfg.out_dir, default_name)
+def _write_json(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(canonical_dumps(payload) + "\n")
-    return path
 
 
-def cmd_approximate(args, cfg: RunConfig) -> int:
+def cmd_approximate(args) -> int:
     law = load_law(args.input)
-    q = args.q if args.q is not None else cfg.q_default
     if args.mode == "abs":
         if not law.is_pure_density:
             raise InputError("mode=abs needs a purely absolutely continuous law")
-        result = approximate_abs_cont(law, args.eps, q, args.tau, args.side)
+        result = approximate_abs_cont(law, args.eps, args.q, args.tau, args.side)
     elif args.mode == "lattice":
         if not law.is_pure_discrete:
             raise InputError("mode=lattice needs a pure discrete law")
         result = approximate_lattice(law, args.eps)
     else:
-        result = approximate_mixture(law, args.eps, q, args.tau, args.side)
-    path = _write_json(approx_result_to_dict(result), args.out, cfg, "approx_result.json")
+        result = approximate_mixture(law, args.eps, args.q, args.tau, args.side)
+    _write_json(approx_result_to_dict(result), args.out)
     print(f"tv_value {result.tv_value:.6g} <= claimed {result.tv_bound_claimed:.6g}; "
-          f"certificate min {result.certificate.min_modulus:.6g}; wrote {path}")
+          f"certificate min {result.certificate.min_modulus:.6g}; wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_check_zero_free(args, cfg: RunConfig) -> int:
+def cmd_check_zero_free(args) -> int:
     law = load_law(args.input)
-    T = args.window if args.window is not None else cfg.scan_window
-    step = args.step if args.step is not None else cfg.scan_step
-    cert = min_modulus_scan(CharFn(law), T, step)
+    cert = min_modulus_scan(CharFn(law), args.window, args.step)
     verdict = ("zero found" if cert.min_modulus < config.ZERO_VERDICT_TOL
                else "zero-free at resolution")
     payload = certificate_to_dict(cert)
     payload["verdict"] = verdict
-    path = _write_json(payload, args.out, cfg, "certificate.json")
+    _write_json(payload, args.out)
     print(f"{verdict}: min |f| = {cert.min_modulus:.6g} at t = {cert.argmin_t:.6g}; "
-          f"wrote {path}")
+          f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_spectral_pair(args, cfg: RunConfig) -> int:
+def cmd_spectral_pair(args) -> int:
     law = load_law(args.input)
     pair = lattice_spectral_pair(law, K=args.K)
-    path = _write_json(spectral_pair_to_dict(pair), args.out, cfg, "spectral_pair.json")
+    _write_json(spectral_pair_to_dict(pair), args.out)
     print(f"gamma {pair.drift_gamma:.6g}, {len(pair.signed_atoms)} signed atoms, "
-          f"residual {pair.residual:.3g}; wrote {path}")
+          f"residual {pair.residual:.3g}; wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_tv(args, cfg: RunConfig) -> int:
+def cmd_tv(args) -> int:
     value, bound = tv_distance(load_law(args.input1), load_law(args.input2))
     print(f"{value:.17g} {bound:.17g}")
     return EXIT_OK
 
 
-def cmd_kutlu_scan(args, cfg: RunConfig) -> int:
+def cmd_kutlu_scan(args) -> int:
     scan = kutlu_zero_scan(args.step)
     rows = [(t1, t2, float(abs(kutlu_phi(t1, t2))))
             for t1, t2 in scan.zero_locations]
-    path = args.out or os.path.join(cfg.out_dir, "kutlu_scan.csv")
-    write_csv(path, ["t1", "t2", "abs_phi"], rows)
-    print(f"min |phi| = {scan.min_modulus:.3g}, {len(rows)} zeros; wrote {path}")
+    write_csv(args.out, ["t1", "t2", "abs_phi"], rows)
+    print(f"min |phi| = {scan.min_modulus:.3g}, {len(rows)} zeros; wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_inf_scan(args, cfg: RunConfig) -> int:
+def cmd_inf_scan(args) -> int:
     alpha, frac = parse_alpha(args.alpha)
     ladder = [float(x) for x in args.ladder.split(",")]
     # the floor scan runs first so that either scan's point cap stops the
@@ -114,9 +99,8 @@ def cmd_inf_scan(args, cfg: RunConfig) -> int:
         floor, _ = one_period_floor(frac, args.step)
     report = inf_scan(alpha, ladder, args.step)
     rows = [(T, m, t) for T, m, t in report.minima]
-    path = args.out or os.path.join(cfg.out_dir, "inf_scan.csv")
-    write_csv(path, ["T", "min_modulus", "argmin_t"], rows)
-    msg = f"minima {', '.join('%.4g' % m for _, m, _ in report.minima)}; wrote {path}"
+    write_csv(args.out, ["T", "min_modulus", "argmin_t"], rows)
+    msg = f"minima {', '.join('%.4g' % m for _, m, _ in report.minima)}; wrote {args.out}"
     if floor is not None:
         msg += f" (rational alpha: one-period floor {floor:.6g})"
     print(msg)
@@ -152,23 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="law JSON file")
     p.add_argument("--mode", choices=["abs", "lattice", "mixture"], required=True)
     p.add_argument("--eps", type=_finite_float, required=True)
-    p.add_argument("--q", type=_finite_float, default=None)
+    p.add_argument("--q", type=_finite_float, default=0.4)
     p.add_argument("--tau", type=_finite_float, default=0.5)
     p.add_argument("--side", choices=["plus", "minus"], default="plus")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="approx_result.json")
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("check-zero-free", help="scan |f| for zeros")
     p.add_argument("input")
-    p.add_argument("--window", type=_finite_float, default=None)
-    p.add_argument("--step", type=_finite_float, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--window", type=_finite_float, default=64.0)
+    p.add_argument("--step", type=_finite_float, default=0.01)
+    p.add_argument("--out", default="certificate.json")
     p.set_defaults(func=cmd_check_zero_free)
 
     p = sub.add_parser("spectral-pair", help="extract the spectral pair")
     p.add_argument("input")
     p.add_argument("-K", type=int, default=64)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="spectral_pair.json")
     p.set_defaults(func=cmd_spectral_pair)
 
     p = sub.add_parser("tv", help="total variation between two laws")
@@ -178,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kutlu-scan", help="scan the three-exponential function for zeros")
     p.add_argument("--step", type=_finite_float, default=0.005)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="kutlu_scan.csv")
     p.set_defaults(func=cmd_kutlu_scan)
 
     p = sub.add_parser("inf-scan", help="window minima of the three-point CF")
@@ -186,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "fraction p/q, or decimal")
     p.add_argument("--ladder", default="100,1000,10000")
     p.add_argument("--step", type=_finite_float, default=0.01)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="inf_scan.csv")
     p.set_defaults(func=cmd_inf_scan)
     return parser
 
@@ -194,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _load_config()
-        return args.func(args, cfg)
+        return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,13 +1,8 @@
-"""Numeric defaults and the run configuration consumed by the CLI.
+"""Numeric defaults.
 
 Library functions take explicit keyword overrides; these constants are
 the single place where the default resolutions and tolerances live.
 """
-
-from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 # Density grids: number of cells per unit of support width.
 DEFAULT_CELLS = 1024
@@ -30,9 +25,9 @@ SHIFT_SYMMETRY_TOL = 1e-9
 # Lattice detection: relative tolerance on span fitting.
 LATTICE_REL_TOL = 1e-9
 
-# Distinguished logarithm: modulus floor and step-halving budget.
+# Log branch of a lattice polynomial: the modulus floor that spectral
+# extraction must prove between its FFT nodes.
 LOG_MODULUS_FLOOR = 1e-6
-MAX_BRANCH_HALVINGS = 16
 
 # Local refinement of scan roots and minima. REFINE_XTOL is absolute for
 # the root polish (Chandrupatla brackets close below this width, and each
@@ -63,28 +58,3 @@ CERTIFICATE_FLOOR = 1e-9
 
 # CLI verdict threshold: scans refining below this count as "zero found".
 ZERO_VERDICT_TOL = 1e-8
-
-
-@dataclass
-class RunConfig:
-    """CLI-level configuration, loadable from the file named by the
-    QIDLAB_CONFIG environment variable."""
-
-    scan_window: float = 64.0
-    scan_step: float = 0.01
-    q_default: float = 0.4
-    out_dir: str = "."
-
-    def __post_init__(self):
-        for name in ("scan_window", "scan_step", "q_default"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            data = json.load(fh)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValueError(f"bad run configuration {path}: {exc}") from exc

@@ -443,21 +443,6 @@ def mix(c: float, F1: Law, F2: Law) -> Law:
     return _assemble(np.concatenate(locs), np.concatenate(masses), dens)
 
 
-def shift_scale(F: Law, shift: float, scale: float) -> Law:
-    """Law of scale*X + shift for X ~ F."""
-    if not (scale > 0):
-        raise InputError(f"scale must be positive, got {scale}")
-    disc = None
-    if F.discrete is not None:
-        disc = DiscreteLaw(scale * F.discrete.locations + shift, F.discrete.masses)
-    cont = None
-    if F.continuous is not None:
-        d = F.continuous
-        cont = DensityLaw(scale * d.grid_origin + shift, scale * d.grid_step,
-                          d.samples / scale)
-    return Law(F.discrete_weight, disc, cont)
-
-
 def _resample_density(d: DensityLaw, step: float) -> DensityLaw:
     """Resample onto a finer/other uniform step, keeping the origin."""
     if abs(step - d.grid_step) <= 1e-12 * d.grid_step:

@@ -29,15 +29,6 @@ class MethodError(QidlabError, RuntimeError):
     """Operation ran but failed to produce a certified result."""
 
 
-class ZeroOnPathError(MethodError):
-    """Characteristic-function modulus fell below the floor while
-    tracking a logarithm branch."""
-
-
-class BranchTrackingError(MethodError):
-    """Phase step stayed too large at the minimal tracking step."""
-
-
 class IdenticallyZeroImagError(MethodError):
     """Imaginary part vanished on the whole scan grid, so sign-change
     root finding is meaningless."""

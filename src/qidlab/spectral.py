@@ -19,9 +19,9 @@ import numpy as np
 
 from . import config
 from ._fft import TaylorTable
-from .charfn import BLOCK_ENTRIES, CharFn, _blocked
+from .charfn import BLOCK_ENTRIES, CharFn, _blocked, _track_branch
 from .dist import Law
-from .errors import InputError, LawShapeError, SpectralExtractionError
+from .errors import InputError, LawShapeError
 
 # weights below this are dropped from the atom list
 PRUNE_TOL = 1e-12
@@ -82,12 +82,10 @@ def lattice_spectral_pair(F: Law, K: int = 64,
                           min_modulus_floor: float = config.LOG_MODULUS_FLOOR) -> SpectralPair:
     """Extract the spectral pair of a zero-free lattice law.
 
-    P is sampled at n nodes of one period, n a power of two from
-    max(256, 8K, 4*len(c)). Between nodes |P| drops by at most
-    (pi/n) * sum_k |k - kbar| c_k (kbar the mean index), so n doubles
-    until the grid minimum less that slack clears min_modulus_floor and
-    every log increment is below pi/2; a node at or below the floor, or
-    n past BLOCK_ENTRIES, rejects the law. The drift picks up the
+    The log branch of P comes from charfn._track_branch on n nodes of
+    one period, n a power of two from max(256, 8K, 4*len(c)), doubled
+    there until min_modulus_floor is proved between nodes; a law it
+    cannot prove raises SpectralExtractionError. The drift picks up the
     branch winding, so it lands on the law's lattice. The weights of
     the same FFT at K < |k| <= n/2 give the pair's tail_mass. The
     residual is the round-trip error on 4*max(256, 8K) nodes of one
@@ -106,25 +104,9 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     c = np.bincount(F.discrete.lattice_fit[2], weights=F.discrete.masses)
     if b == 0.0:
         b = 1.0  # degenerate law: span is conventional
-    period = 2.0 * math.pi / b
-    ks = np.arange(c.size)
-    slack = math.pi * float(np.abs(ks - ks @ c / c.sum()) @ c)
-    n = 1 << (max(n_nodes, 4 * c.size) - 1).bit_length()
-    while True:
-        if n > BLOCK_ENTRIES:
-            raise SpectralExtractionError(
-                f"not extractable: floor {min_modulus_floor:.3e} unproved on {BLOCK_ENTRIES} nodes")
-        vals = n * np.fft.ifft(c, n)
-        mods = np.abs(vals)
-        j = int(np.argmin(mods))
-        if mods[j] <= min_modulus_floor:
-            raise SpectralExtractionError(
-                f"not extractable: CF modulus falls to {mods[j]:.3e} near t={period * j / n:.6g}")
-        if mods[j] - slack / n > min_modulus_floor:
-            steps_log = np.log(np.roll(vals, -1) / vals)
-            if float(np.max(np.abs(steps_log))) < 0.5 * math.pi:
-                break
-        n *= 2
+    vals, steps_log = _track_branch(c, 1 << (max(n_nodes, 4 * c.size) - 1).bit_length(),
+                                    min_modulus_floor)
+    n = vals.size
     # the n ratios close a cycle, so the branch ends at 2*pi*i*winding
     branch = np.cumsum(steps_log)
     winding = round(float(branch[-1].imag) / (2.0 * math.pi))

@@ -45,9 +45,10 @@ class DeltaSelection:
             raise InputError("certificate must have positive minimum")
 
 
-def _scan_params(f0: CharFn, delta_hint: float,
+def _scan_params(F0: Law, delta_hint: float,
                  cap: float | None = None) -> tuple[float, float, float | None]:
-    """Window and step for scans of delta*e^{it*gamma0} + (1-delta)*f0.
+    """Window and step for scans of delta*e^{it*gamma0} + (1-delta)*f0,
+    f0 the CF of F0.
 
     Lattice part: one CF period 2*pi/span is exhaustive. Density part:
     the decay_window beyond which the density contribution to the
@@ -57,7 +58,6 @@ def _scan_params(f0: CharFn, delta_hint: float,
     cuts the density window short). The step coarsens so the total
     point count stays below the configured cap.
     """
-    F0 = f0.law
     T_lattice = 0.0
     T_density = 0.0
     step = math.inf
@@ -74,7 +74,7 @@ def _scan_params(f0: CharFn, delta_hint: float,
         width = max(d.nodes[-1] - d.grid_origin, d.grid_step)
         step = min(step, (2.0 * math.pi / width) / config.SAMPLES_PER_OSCILLATION)
         coeff = (1.0 - delta_hint) * (1.0 - F0.discrete_weight)
-        T_density = decay_window(f0, delta_hint / (2.0 * coeff))
+        T_density = decay_window(CharFn(F0), delta_hint / (2.0 * coeff))
         tail = 0.5 * delta_hint
         if cap is not None and T_density > cap:
             # the bound covers only |t| past the uncapped window
@@ -154,15 +154,16 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
-    f0 = CharFn(F0)
-    T0, _, _ = _scan_params(f0, delta_hint=0.5 * tau, cap=config.BADSET_WINDOW)
-    bad = bad_delta_set(f0, gamma0, T0, _root_scan_step(F0, gamma0))
+    # F0's CF, and the Taylor table it builds, live only for the root
+    # scan, so no two tables are held while candidates are certified
+    T0, _, _ = _scan_params(F0, delta_hint=0.5 * tau, cap=config.BADSET_WINDOW)
+    bad = bad_delta_set(CharFn(F0), gamma0, T0, _root_scan_step(F0, gamma0))
     last_min = 0.0
     for delta in _candidate_ladder(bad, tau):
         if any(abs(delta - d) < config.DELTA_SEPARATION for d in bad):
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
-        T, step, tail = _scan_params(f0, delta_hint=delta)
+        T, step, tail = _scan_params(F0, delta_hint=delta)
         cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
         last_min = max(last_min, cert.min_modulus)
         if cert.min_modulus > config.CERTIFICATE_FLOOR:

@@ -5,15 +5,14 @@ import pytest
 
 from qidlab import charfn, config
 from qidlab._fft import TaylorTable
-from qidlab.charfn import (CharFn, decay_window, distinguished_log, imag_zero_scan,
-                           min_modulus_scan, parabolic_polish)
+from qidlab.charfn import (CharFn, decay_window, imag_zero_scan, min_modulus_scan,
+                           parabolic_polish)
 from qidlab.dist import (Law, continuous_bernoulli, convolve, law_from_atoms, mix,
                          point_mass, uniform_density)
-from qidlab.errors import (IdenticallyZeroImagError, InputError, LawShapeError,
-                           ZeroOnPathError)
+from qidlab.errors import IdenticallyZeroImagError, InputError, LawShapeError
 from qidlab.pipelines import approximate_abs_cont
 from qidlab.zerofree import _root_scan_step
-from conftest import case_1b_law, heavy_lattice_law, poisson_law
+from conftest import case_1b_law, heavy_lattice_law
 
 
 class TestEval:
@@ -483,34 +482,3 @@ class TestImagZeroScan:
     def test_symmetric_recentered_is_flagged(self, fair_bernoulli):
         with pytest.raises(IdenticallyZeroImagError):
             imag_zero_scan(CharFn(fair_bernoulli), 0.5, 4.0, 0.05)
-
-
-class TestDistinguishedLog:
-    def test_point_mass_branch_is_linear(self):
-        c = 1.3
-        branch = distinguished_log(CharFn(point_mass(c)), 10.0, 0.1)
-        assert np.max(np.abs(branch.values - 1j * c * branch.grid)) < 1e-10
-
-    def test_poisson_closed_form(self):
-        lam = 1.0
-        f = CharFn(poisson_law(lam))
-        branch = distinguished_log(f, 2.0 * math.pi, 0.05)
-        expected = lam * (np.exp(1j * branch.grid) - 1.0)
-        assert np.max(np.abs(branch.values - expected)) < 1e-8
-
-    def test_branch_invariants(self, skewed_two_atom):
-        f = CharFn(skewed_two_atom)
-        branch = distinguished_log(f, 2.0 * math.pi, 0.05)
-        assert branch.values[0] == 0.0
-        assert np.max(np.abs(np.exp(branch.values) - f(branch.grid))) < 1e-8
-        assert np.max(np.abs(np.diff(branch.values))) < 0.5 * math.pi
-
-    def test_zero_on_path_detected(self, fair_bernoulli):
-        with pytest.raises(ZeroOnPathError):
-            distinguished_log(CharFn(fair_bernoulli), 4.0, 0.05)
-
-    def test_step_halving_tightens(self):
-        # fast winding at coarse step forces halving below pi/2 per step
-        branch = distinguished_log(CharFn(point_mass(1.0)), 2.0 * math.pi, 3.0)
-        assert branch.branch_step < 3.0
-        assert np.max(np.abs(np.diff(branch.values))) < 0.5 * math.pi

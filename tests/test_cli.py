@@ -165,6 +165,15 @@ class TestCommands:
         cert = json.loads(out.read_text())
         assert cert["min_modulus"] == pytest.approx(1 / 3, abs=1e-8)
 
+    def test_check_zero_free_defaults(self, skew_path, tmp_path, monkeypatch, capsys):
+        # window 64, step 0.01, and the output named after it in the cwd
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-zero-free", skew_path]) == 0
+        assert capsys.readouterr().out.endswith("wrote certificate.json\n")
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["window_T"] == pytest.approx(64.0, abs=0.01)
+        assert cert["grid_step"] == 0.01
+
     def test_point_mass_unit_modulus(self, tmp_path, capsys):
         path = tmp_path / "pm.json"
         save_law(point_mass(1.0), str(path))
@@ -212,7 +221,7 @@ class TestCommands:
         assert "input error" in capsys.readouterr().err
 
     def test_memory_error_is_method_failure(self, fair_path, monkeypatch, capsys):
-        def exhaust(args, cfg):
+        def exhaust(args):
             raise MemoryError("Unable to allocate 86.1 GiB")
         monkeypatch.setattr("qidlab.cli.cmd_tv", exhaust)
         assert main(["tv", fair_path, fair_path]) == 3
@@ -249,21 +258,3 @@ class TestCommands:
                      "--eps", "0.1", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["tv_value"] <= 0.4
-
-    def test_run_config_env(self, tmp_path, skew_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"scan_window": 7.0, "scan_step": 0.01}')
-        monkeypatch.setenv("QIDLAB_CONFIG", str(cfg))
-        out = tmp_path / "cert.json"
-        assert main(["check-zero-free", skew_path, "--out", str(out)]) == 0
-        cert = json.loads(out.read_text())
-        assert cert["window_T"] == pytest.approx(7.0, abs=0.02)
-
-    @pytest.mark.parametrize("key", ["grid_cells", "refine_tol", "no_such_key"])
-    def test_run_config_unknown_key_exits_2(self, tmp_path, skew_path, monkeypatch, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: 1}))
-        monkeypatch.setenv("QIDLAB_CONFIG", str(cfg))
-        out = tmp_path / "cert.json"
-        assert main(["check-zero-free", skew_path, "--out", str(out)]) == 2
-        assert not out.exists()

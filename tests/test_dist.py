@@ -6,8 +6,8 @@ import pytest
 from qidlab import config, dist
 from qidlab.dist import (DensityLaw, DiscreteLaw, Law, continuous_bernoulli,
                          convolve, is_shift_symmetric, l1_modulus, law_from_atoms,
-                         mix, point_mass, restrict_density, shift_scale,
-                         support_info, tv_distance, uniform_density)
+                         mix, point_mass, restrict_density, support_info,
+                         tv_distance, uniform_density)
 from qidlab.errors import InputError, LawShapeError, NotLatticeError
 
 
@@ -264,15 +264,6 @@ def test_close_atoms_merge_onto_leftmost(build, expected):
 
 
 class TestShiftScale:
-    def test_identity(self, fair_bernoulli):
-        out = shift_scale(fair_bernoulli, 0.0, 1.0)
-        assert [(a.location, a.mass) for a in out.discrete.atoms] == \
-               [(a.location, a.mass) for a in fair_bernoulli.discrete.atoms]
-
-    def test_rejects_nonpositive_scale(self, fair_bernoulli):
-        with pytest.raises(InputError):
-            shift_scale(fair_bernoulli, 0.0, 0.0)
-
     def test_plus_kernel_support(self):
         law = continuous_bernoulli(0.4, 0.5, "plus")
         info = support_info(law)
@@ -306,7 +297,7 @@ class TestTV:
         assert lhs == pytest.approx(delta * ref, abs=1e-14)
 
     def test_disjoint_supports(self, uniform01):
-        shifted = shift_scale(uniform01, 5.0, 1.0)
+        shifted = uniform_density(5.0, 6.0)
         value, bound = tv_distance(uniform01, shifted)
         assert value == pytest.approx(2.0, abs=1e-10)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qidlab import charfn
-from qidlab.charfn import CharFn
+from qidlab.charfn import CharFn, _track_branch
 from qidlab.dist import convolve, law_from_atoms, point_mass
 from qidlab.errors import SpectralExtractionError
 from qidlab.pipelines import approximate_lattice
@@ -62,8 +62,8 @@ class TestExtraction:
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_smoothed_profile_approximant(self, seed):
-        # 200-atom smoothed profile: the sampled-floor extraction raised
-        # ZeroOnPathError on these approximants
+        # 200-atom smoothed profile: an extraction from a sampled floor,
+        # with no proof between samples, rejected these approximants
         rng = np.random.default_rng(seed)
         prof = np.convolve(rng.gamma(2.0, size=200), np.ones(9) / 9.0, mode="same") + 0.05
         law = law_from_atoms([(float(k), float(m)) for k, m in enumerate(prof / prof.sum())],
@@ -121,6 +121,42 @@ class TestExtraction:
         assert atoms[1] == pytest.approx(0.4, abs=1e-9)
         assert atoms[2] == pytest.approx(0.3, abs=1e-9)
         assert all(lam > -1e-12 for lam in atoms.values())
+
+
+class TestTrackBranch:
+    """charfn._track_branch, the one log branch of lattice polynomials."""
+
+    def test_doubles_until_floor_proved(self):
+        # min |P| = 0.001 at theta = pi, slack pi * 0.49999975: the floor
+        # 1e-6 needs 0.001 - 1.5708 / n > 1e-6, first met at n = 2048
+        vals, steps_log = _track_branch(np.array([0.5005, 0.4995]), 256, 1e-6)
+        assert vals.size == steps_log.size == 2048
+
+    @pytest.mark.parametrize("masses", [(0.5005, 0.4995), (1 / 3, 2 / 3)],
+                             ids=["near_zero", "winding"])
+    def test_branch_nodes_and_steps(self, masses):
+        c = np.array(masses)
+        vals, steps_log = _track_branch(c, 256, 1e-6)
+        n = vals.size
+        assert n & (n - 1) == 0 and n >= 4 * c.size
+        assert float(np.max(np.abs(steps_log))) < 0.5 * math.pi
+        # the increments rebuild the values and close the cycle
+        rebuilt = vals[0] * np.exp(np.cumsum(steps_log))
+        assert np.max(np.abs(rebuilt[:-1] - vals[1:])) <= 1e-13
+        assert abs(rebuilt[-1] - vals[0]) <= 1e-13
+
+    def test_poisson_closed_form(self):
+        # log P(theta) = lam * (e^{i theta} - 1) for the Poisson law
+        lam = 1.0
+        vals, steps_log = _track_branch(poisson_law(lam).discrete.masses, 256, 1e-6)
+        theta = 2 * math.pi * np.arange(1, vals.size + 1) / vals.size
+        branch = np.log(vals[0]) + np.cumsum(steps_log)
+        assert np.max(np.abs(branch - lam * (np.exp(1j * theta) - 1.0))) < 1e-12
+
+    def test_zero_on_a_node_rejected(self):
+        # P = (1 + e^{i theta}) / 2 vanishes at theta = pi, a node of every grid
+        with pytest.raises(SpectralExtractionError, match=r"near t=0\.5\*2pi/b"):
+            _track_branch(np.array([0.5, 0.5]), 8, 1e-6)
 
 
 class TestReconstruct:
