@@ -9,14 +9,24 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import InputError
 
-# complex entries a TaylorTable may hold: 16 * charfn.BLOCK_ENTRIES, 256 MiB
-TABLE_ENTRIES = 1 << 24
+# complex entries in one block of products (charfn) or of sub-cell
+# coefficients (TaylorTable.floor)
+BLOCK_ENTRIES = 1 << 20
+
+# complex entries a TaylorTable may hold: 16 * BLOCK_ENTRIES, 256 MiB
+TABLE_ENTRIES = 16 * BLOCK_ENTRIES
+
+# levels of 8-way cell subdivision in TaylorTable.floor
+FLOOR_LEVELS = 3
+
+_U = 2.0 ** -53
 
 
 class TaylorTable:
@@ -42,6 +52,9 @@ class TaylorTable:
     (M at most 13) whatever the length of c. A table of more than
     TABLE_ENTRIES entries, (M + 1)*N, is refused with InputError before
     it is allocated.
+
+    floor() reads a lower bound on |P| over the whole period from the
+    rows (its docstring).
     """
 
     def __init__(self, x0: float, step: float, c: np.ndarray):
@@ -52,7 +65,8 @@ class TaylorTable:
         k = np.arange(n) - kc
         a = np.abs(k) * (math.pi / self.n_fft)
         term = np.abs(c)
-        floor = 2.0 ** -53 * float(term.sum())
+        self._abs_sum = float(term.sum())
+        floor = _U * self._abs_sum
         term = term * a
         order = 0
         while float(term.sum()) > floor:
@@ -87,6 +101,114 @@ class TaylorTable:
             acc *= u
             acc += self.table[m][j]
         return np.exp(1j * self._centre * t) * acc
+
+    def floor(self, floor: float = 0.0) -> tuple[float, float, float]:
+        """(lower, least, theta): a proven lower bound on |P| over every
+        real theta, the least |P| evaluated and the theta in [0, 2*pi)
+        where it was evaluated. |S(t)| = |P(t*step)|, so lower bounds |S|
+        at every real t.
+
+        On the cell |u| <= 1 around node j, P = sum_m D_m[j] u^m plus the
+        Taylor remainder, so
+
+            |P| >= min_{|u| <= 1} |D_0[j] + D_1[j] u| - sum_{m>=2} |D_m[j]| - R,
+
+        the first term being the distance from 0 to a segment. A cell
+        whose bound is at or below floor is re-expanded on 8 sub-intervals
+        of u by a Taylor shift of its M + 1 coefficients (exact dyadic
+        shift matrices, no CF evaluation) and bounded the same way, for
+        up to FLOOR_LEVELS levels, in blocks of at most BLOCK_ENTRIES
+        coefficients. A level that would open more than max(64, N/8) cells
+        stops the subdivision, so the sub-cells kept never outgrow the
+        table; lower then stays at or below floor. least is the least
+        |D_0| over the nodes and the sub-cell centres.
+
+        R allows, with u = 2^-53 and A = sum_k |c_k|:
+          - 1.25 u A for the Taylor remainder (class docstring);
+          - 8 (M + 1)(log2 N + M) u A for the rows: an entry of row m is
+            an FFT output of inputs summing in modulus to at most A,
+            each of its log2 N butterfly levels adds a relative error
+            under 4 u, and building the row costs under 3m + 2 roundings
+            per coefficient; the allowance doubles that first-order
+            tally, and it also covers the arithmetic of the bound;
+          - 4 (M + 1) u A per level of subdivision: a shift is a dot
+            product of M + 1 terms whose coefficients, in modulus, sum
+            to at most sum_m |D_m[j]| <= e^(pi/8) A.
+        """
+        n, order = self.n_fft, self.order
+        slack = (1.25 + 8.0 * (order + 1) * (math.log2(n) + order)) * _U * self._abs_sum
+        mods = np.abs(self.table[0])
+        j = int(np.argmin(mods))
+        least, theta = float(mods[j]), 2.0 * math.pi * j / n
+        bounds = _cell_bounds(self.table) - slack
+        shut = bounds > floor
+        lower = float(bounds[shut].min()) if shut.any() else math.inf
+        cells = np.nonzero(~shut)[0]
+        bounds, coef = bounds[cells], self.table[:, cells].T
+        centre, half = 2.0 * math.pi * cells / n, math.pi / n
+        shift, offsets = _shift_matrix(order)
+        rows = max(1, BLOCK_ENTRIES // (8 * (order + 1)))
+        for _ in range(FLOOR_LEVELS):
+            if bounds.size == 0 or bounds.size > max(64, n // 8):
+                break
+            slack += 4.0 * (order + 1) * _U * self._abs_sum
+            keep_b, keep_c, keep_x = [], [], []
+            for lo in range(0, coef.shape[0], rows):
+                sub = (coef[lo:lo + rows] @ shift).reshape(-1, order + 1)
+                x = (centre[lo:lo + rows, None] + half * offsets).ravel()
+                m0 = np.abs(sub[:, 0])
+                k = int(np.argmin(m0))
+                if m0[k] < least:
+                    least, theta = float(m0[k]), float(x[k])
+                b = _cell_bounds(sub.T) - slack
+                shut = b > floor
+                if shut.any():
+                    lower = min(lower, float(b[shut].min()))
+                keep_b.append(b[~shut])
+                keep_c.append(sub[~shut])
+                keep_x.append(x[~shut])
+            bounds, coef, centre = (np.concatenate(v) for v in (keep_b, keep_c, keep_x))
+            half /= 8.0
+        if bounds.size:
+            lower = min(lower, float(bounds.min()))
+        return lower, least, theta % (2.0 * math.pi)
+
+
+def _cell_bounds(coef: np.ndarray) -> np.ndarray:
+    """min over real |u| <= 1 of |c_0 + c_1 u|, less sum_{m>=2} |c_m|, for
+    each column of the coefficient rows c_m."""
+    d0 = coef[0]
+    if coef.shape[0] == 1:
+        return np.abs(d0)
+    d1 = coef[1]
+    n1 = np.abs(d1)
+    # the distance to the line through the segment where its foot lies
+    # inside, else the nearer end; n1 = 0 takes the end |d0|
+    inside = np.abs(d0.real * d1.real + d0.imag * d1.imag) < n1 * n1
+    perp = np.abs(d0.real * d1.imag - d0.imag * d1.real) / np.where(inside, n1, 1.0)
+    out = np.where(inside, perp, np.minimum(np.abs(d0 + d1), np.abs(d0 - d1)))
+    for m in range(2, coef.shape[0]):
+        out -= np.abs(coef[m])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_matrix(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, offsets): the coefficients of p(u) = sum_l c_l u^l on the 8
+    sub-intervals of [-1, 1], centred at offsets s_i = (2i - 7)/8 and
+    rescaled to |v| <= 1 by u = s_i + v/8, are c @ W, reshaped to rows
+    of order + 1; W[l, i*(order + 1) + m] = C(l, m) s_i^(l - m) 8^-m.
+    Every entry is a dyadic rational of under 53 bits, so exact."""
+    offsets = (2.0 * np.arange(8) - 7.0) / 8.0
+    w = np.zeros((order + 1, 8, order + 1))
+    for l in range(order + 1):
+        for m in range(l + 1):
+            w[l, :, m] = math.comb(l, m) * offsets ** (l - m) * 8.0 ** -m
+    w = w.reshape(order + 1, -1)
+    # cached and shared by every table of this order
+    w.setflags(write=False)
+    offsets.setflags(write=False)
+    return w, offsets
 
 
 def next_fast_len(target: int, real: bool = False) -> int:

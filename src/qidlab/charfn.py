@@ -20,6 +20,12 @@ by every CharFn over it. Atoms off a lattice, or on a lattice whose
 coefficient array would be much longer than the atom list, keep the
 dense exp(itx) product.
 
+The same rows prove a floor: on the cell around each node the Taylor
+polynomial, less its first-order part, moves |P| by at most the sum of
+its higher coefficients, so lattice_certificate bounds |f| of a pure
+lattice law from table reads and a few subdivided cells, with no grid
+scan; laws with a density part keep the sampled min_modulus_scan.
+
 The log branch of a lattice polynomial P(theta) = sum_k c_k e^{ik*theta}
 (_track_branch, which spectral extraction reads) is one inverse FFT of
 c over a period, on a grid doubled until the modulus floor is proved
@@ -35,17 +41,16 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from ._fft import TaylorTable
+from ._fft import BLOCK_ENTRIES, TaylorTable
 from .dist import DiscreteLaw, Law
 from .errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                      SpectralExtractionError)
 
-# Complex entries allowed in one block of CF products: blocks of t
-# values get BLOCK_ENTRIES // columns rows, the columns being the M + 1
-# orders of each Taylor table (lattice atoms, density nodes) or, on the
-# dense path, the atoms; so memory stays bounded however many points a
-# batched polish asks for at once.
-BLOCK_ENTRIES = 1 << 20
+# BLOCK_ENTRIES bounds the complex entries of one block of CF products:
+# blocks of t values get BLOCK_ENTRIES // columns rows, the columns being
+# the M + 1 orders of each Taylor table (lattice atoms, density nodes)
+# or, on the dense path, the atoms; so memory stays bounded however many
+# points a batched polish asks for at once.
 
 # Lattice atoms take the Taylor table when its degree + 1 coefficients
 # number at most LATTICE_FILL_MAX per atom. The table holds (M + 1) * N
@@ -66,8 +71,15 @@ _LATTICE_FIT_ULPS = 16
 
 @dataclass(frozen=True)
 class ZeroFreeCertificate:
-    """Scan evidence that |f| stays positive: window, resolution,
-    minimum found and where.
+    """Evidence that |f| stays positive: window, resolution, least
+    modulus evaluated and where, and, when proved, a lower bound.
+
+    lower_bound, when present (lattice_certificate), is a proof: |f| >=
+    lower_bound at every |t| <= window_T, with float rounding allowed
+    for; as the window is one period of the lattice polynomial, it
+    holds at every real t for the lattice law the Taylor table sums.
+    Without it (min_modulus_scan) min_modulus is a sampled minimum,
+    grid plus polish, which may lie above the true one.
 
     tail_bound, when present, is a proven bound on the modulus of the
     continuous-part contribution at every |t| > window_T (the closed
@@ -79,12 +91,19 @@ class ZeroFreeCertificate:
     min_modulus: float
     argmin_t: float
     tail_bound: float | None = None
+    lower_bound: float | None = None
 
     def __post_init__(self):
         if self.window_T <= 0 or self.grid_step <= 0:
             raise InputError("window and grid step must be positive")
         if self.min_modulus < 0:
             raise InputError("min_modulus must be nonnegative")
+
+    @property
+    def certified_min(self) -> float:
+        """lower_bound where proved, else the sampled min_modulus: the
+        value to hold against a floor."""
+        return self.min_modulus if self.lower_bound is None else self.lower_bound
 
 
 class CharFn:
@@ -115,6 +134,12 @@ class CharFn:
     @cached_property
     def _atom_table(self) -> TaylorTable:
         return TaylorTable(*self._lattice)
+
+    @property
+    def is_lattice_table(self) -> bool:
+        """A pure lattice law summed by the Taylor table, so that
+        lattice_certificate applies."""
+        return self._nodes is None and self._lattice is not None
 
     @property
     def _width(self) -> int:
@@ -275,6 +300,36 @@ def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
             best_t, best_v = float(t_r[k]), float(v_r[k])
     return ZeroFreeCertificate(window_T=float(n * step), grid_step=step,
                                min_modulus=best_v, argmin_t=best_t)
+
+
+def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
+    """Proven certificate of a pure lattice law on a + b*Z from its
+    Taylor table (TaylorTable.floor, subdividing cells bounded at or
+    below config.CERTIFICATE_FLOOR): window 2*pi/b, one period of
+    |f|, and step 2*pi/(b*N) over the table's N nodes; min_modulus is
+    the least modulus evaluated there, argmin_t its |t| folded into
+    [0, pi/b]. The table sums the masses at a + b*k, within
+    _LATTICE_FIT_ULPS of the atoms, and a misfit of d moves |f| by at
+    most |t|*d, so window_T times the misfit (plus two ulps of the
+    largest of |location| and b*k for its own rounding) comes off
+    lower_bound. A point mass (b = 0) has |f| = 1 everywhere and takes
+    the window of b = 1.
+    """
+    if not f.is_lattice_table:
+        raise LawShapeError("lattice_certificate needs a pure lattice law on the Taylor-table path")
+    a, b, _ = f._lattice
+    table = f._atom_table
+    lower, least, theta = table.floor(config.CERTIFICATE_FLOOR)
+    span = b if b > 0 else 1.0
+    window = 2.0 * math.pi / span
+    locs = f.law.discrete.locations
+    ks = f.law.discrete.lattice_fit[2]
+    scale = max(float(np.max(np.abs(locs))), b * float(ks[-1]))
+    misfit = float(np.max(np.abs(locs - (a + b * ks)))) + 2.0 * float(np.spacing(scale))
+    return ZeroFreeCertificate(window_T=window, grid_step=window / table.n_fft,
+                               min_modulus=least,
+                               argmin_t=min(theta, 2.0 * math.pi - theta) / span,
+                               lower_bound=lower - window * misfit)
 
 
 def decay_window(f: CharFn, threshold: float) -> float:

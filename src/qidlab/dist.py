@@ -167,9 +167,12 @@ class DensityLaw:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.grid_origin + self.grid_step * np.arange(self.samples.size)
+        """grid_origin + i*grid_step, built on first use, read-only."""
+        nodes = self.grid_origin + self.grid_step * np.arange(self.samples.size)
+        nodes.setflags(write=False)
+        return nodes
 
     @cached_property
     def node_table(self) -> TaylorTable:

@@ -101,7 +101,7 @@ def save_law(F: Law, path: str) -> None:
 def certificate_to_dict(cert: ZeroFreeCertificate) -> dict:
     return {"window_T": cert.window_T, "grid_step": cert.grid_step,
             "min_modulus": cert.min_modulus, "argmin_t": cert.argmin_t,
-            "tail_bound": cert.tail_bound}
+            "tail_bound": cert.tail_bound, "lower_bound": cert.lower_bound}
 
 
 def spectral_pair_to_dict(pair: SpectralPair) -> dict:

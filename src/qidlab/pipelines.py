@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from . import config
-from .charfn import CharFn, ZeroFreeCertificate, min_modulus_scan
+from .charfn import CharFn, ZeroFreeCertificate, lattice_certificate, min_modulus_scan
 from .dist import (DiscreteLaw, Law, continuous_bernoulli, convolve,
                    mass_on_interval, mix, point_mass, restrict_density,
                    support_info, tv_distance)
@@ -206,7 +206,7 @@ def approximate_lattice(F: Law, eps: float) -> ApproxResult:
     if F.discrete.locations.size == 1:
         # degenerate laws are already representable: identity approximant
         loc = float(F.discrete.locations[0])
-        cert = min_modulus_scan(CharFn(F), 2.0 * math.pi, 2.0 * math.pi / 256)
+        cert = lattice_certificate(CharFn(F))
         params = {"gamma_eps": loc, "delta_eps": 0.0, "K1": 0, "K2": 0,
                   "q1_eps": 0.0, "q2_eps": 0.0}
         return ApproxResult(F, eps, params, 0.0, 4.0 * eps, 0.0, cert)
@@ -282,7 +282,8 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     F_d = Law(1.0, F.discrete, None)
     inner = approximate_lattice(F_d, 0.25 * eps)
     F_d_eps = inner.approximant
-    mu_d = inner.certificate.min_modulus
+    # proven floor of |f_d_eps| on the Taylor table, sampled on the dense path
+    mu_d = inner.certificate.certified_min
     F_eps = mix(c_d, F_d_eps, F_a_eps)
     cext = support_info(F_eps).cext
     d_info = support_info(F_d_eps)
@@ -294,15 +295,18 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     floor = (tau_mix - delta) / (delta + c_d - delta * c_d)
     if not (floor > 0):
         raise PipelineError("discrete-part lower bound is not positive")
-    disc_out = Law(1.0, out.discrete, None)
-    a_d, b_d = out.discrete.lattice_params()
-    period = 2.0 * math.pi / b_d
-    cert_d = min_modulus_scan(CharFn(disc_out), period, period / config.SCAN_CELLS)
+    f_d = CharFn(Law(1.0, out.discrete, None))
+    if f_d.is_lattice_table:
+        cert_d = lattice_certificate(f_d)
+    else:
+        period = 2.0 * math.pi / out.discrete.lattice_params()[1]
+        cert_d = min_modulus_scan(f_d, period, period / config.SCAN_CELLS)
     if cert_d.min_modulus < floor - 1e-12:
         raise PipelineError("mixed discrete part dips below its guaranteed floor")
     params = {"r_eps": r_eps, "c_eps": c_eps, "gamma_eps": gamma2,
               "delta_eps": delta, "tau_mix": tau_mix, "mu_d_eps": mu_d,
               "discrete_floor": floor, "discrete_min_modulus": cert_d.min_modulus,
+              "discrete_lower_bound": cert_d.lower_bound,
               "K1": inner.params["K1"], "K2": inner.params["K2"],
               "q1_eps": inner.params["q1_eps"], "q2_eps": inner.params["q2_eps"],
               "case": "2"}

@@ -5,7 +5,9 @@ certificate.
 Zeros can only occur where Im(f0(t)e^{-it*gamma0}) vanishes, and there
 only at one specific delta per root; the selector enumerates those bad
 weights on a window, picks the candidate farthest from all of them and
-certifies the resulting mixture by a minimum-modulus scan.
+certifies the resulting mixture: a pure lattice mixture on the Taylor
+table by the proven floor of lattice_certificate, any other by a
+minimum-modulus scan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import config
 from .charfn import (CharFn, ZeroFreeCertificate, _merge_close, decay_window, imag_zero_scan,
-                     min_modulus_scan)
+                     lattice_certificate, min_modulus_scan)
 from .dist import Law, is_shift_symmetric, mix, point_mass, support_info
 from .errors import InputError, SelectionUnverifiableError
 
@@ -25,8 +27,8 @@ from .errors import InputError, SelectionUnverifiableError
 @dataclass(frozen=True)
 class DeltaSelection:
     """Chosen mixing weight with the bad weights it avoids, the mixed law
-    delta*point_mass(gamma0) + (1-delta)*F0 and the scan certificate of
-    its characteristic function."""
+    delta*point_mass(gamma0) + (1-delta)*F0 and the certificate of its
+    characteristic function."""
 
     delta: float
     bad_deltas: tuple[float, ...]
@@ -146,11 +148,13 @@ def _candidate_ladder(bad: list[float], tau: float) -> list[float]:
 
 
 def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
-    """Pick delta in (0, tau) keeping the mixture CF zero-free at scan
-    resolution, maximizing the distance to the bad weights.
+    """Pick delta in (0, tau) keeping the mixture CF zero-free,
+    maximizing the distance to the bad weights.
 
-    Raises SelectionUnverifiableError when no candidate earns a
-    positive certificate at the configured resolution.
+    A candidate whose mixture is a pure lattice law on the Taylor table
+    is accepted when lattice_certificate proves |f| > CERTIFICATE_FLOOR;
+    any other when min_modulus_scan finds its minimum above that floor.
+    Raises SelectionUnverifiableError when no candidate is accepted.
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
@@ -163,10 +167,14 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
         if any(abs(delta - d) < config.DELTA_SEPARATION for d in bad):
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
-        T, step, tail = _scan_params(F0, delta_hint=delta)
-        cert = replace(min_modulus_scan(CharFn(mixture), T, step), tail_bound=tail)
-        last_min = max(last_min, cert.min_modulus)
-        if cert.min_modulus > config.CERTIFICATE_FLOOR:
+        f = CharFn(mixture)
+        if f.is_lattice_table:
+            cert = lattice_certificate(f)
+        else:
+            T, step, tail = _scan_params(F0, delta_hint=delta)
+            cert = replace(min_modulus_scan(f, T, step), tail_bound=tail)
+        last_min = max(last_min, cert.certified_min)
+        if cert.certified_min > config.CERTIFICATE_FLOOR:
             return DeltaSelection(delta=delta, bad_deltas=tuple(bad), certificate=cert,
                                   gamma0=gamma0, tau=tau, law=mixture)
     raise SelectionUnverifiableError(

@@ -174,6 +174,25 @@ class TestCommands:
         assert cert["window_T"] == pytest.approx(64.0, abs=0.01)
         assert cert["grid_step"] == 0.01
 
+    def test_certificate_lower_bound_written(self, fair_path, skew_path, tmp_path, capsys):
+        # proven on the lattice path, null for sampled certificates
+        out = tmp_path / "res.json"
+        assert main(["approximate", fair_path, "--mode", "lattice", "--eps", "0.02",
+                     "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert 0.0 < cert["lower_bound"] <= cert["min_modulus"]
+        assert f"(proven bound {cert['lower_bound']:.6g})" in capsys.readouterr().out
+        law = tmp_path / "mix.json"
+        save_law(mix(0.5, law_from_atoms([(0.0, 0.2), (1.0, 0.8)]), uniform_density(0.0, 1.0)),
+                 str(law))
+        assert main(["approximate", str(law), "--mode", "mixture", "--eps", "0.1",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certificate"]["lower_bound"] is None
+        assert "(sampled)" in capsys.readouterr().out
+        assert main(["check-zero-free", skew_path, "--window", "7.0", "--step", "0.01",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["lower_bound"] is None
+
     def test_point_mass_unit_modulus(self, tmp_path, capsys):
         path = tmp_path / "pm.json"
         save_law(point_mass(1.0), str(path))

@@ -32,6 +32,12 @@ class TestTypes:
         with pytest.raises(InputError):
             DensityLaw(0.0, -0.1, np.array([0.0, 10.0, 0.0]))
 
+    def test_nodes_cached_and_read_only(self, uniform01):
+        d = uniform01.continuous
+        assert d.nodes is d.nodes
+        assert not d.nodes.flags.writeable
+        assert np.array_equal(d.nodes, d.grid_origin + d.grid_step * np.arange(d.samples.size))
+
     @pytest.mark.parametrize("pairs", [[(math.nan, 0.5), (1.0, 0.5)],
                                        [(0.0, 0.5), (math.inf, 0.5)],
                                        [(0.0, math.nan), (1.0, 1.0)],

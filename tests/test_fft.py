@@ -71,6 +71,95 @@ class TestTaylorTable:
             _fft.TaylorTable(0.0, 1.0, c)
 
 
+def _oracle_min(c, n=1 << 18):
+    """min |P| over n equispaced theta: an upper bound on the true minimum."""
+    return float(np.min(np.abs(np.fft.fft(c, n))))
+
+
+def _smoothed_profile(rng, n):
+    prof = np.convolve(rng.gamma(2.0, size=n), np.ones(9) / 9.0, mode="same") + 0.05
+    return prof / prof.sum()
+
+
+class TestFloor:
+    @pytest.mark.parametrize("n", [80, 128, 200])
+    def test_bound_below_oracle_and_least(self, n):
+        # mixtures d*e_0 + (1 - d)*profile: minima of |P| from 1e-3 up
+        rng = np.random.default_rng(n)
+        for d in (0.002, 0.01, 0.05, 0.2):
+            c = (1.0 - d) * _smoothed_profile(rng, n)
+            c[0] += d
+            table = _fft.TaylorTable(0.0, 1.0, c)
+            lower, least, theta = table.floor(1e-9)
+            assert 1e-9 < lower <= least
+            assert lower <= _oracle_min(c)
+            k = np.arange(n) - (n - 1) // 2
+            assert abs(abs(c @ np.exp(1j * k * theta)) - least) <= 1e-14
+
+    def test_subdivision_proves_the_fair_mixture(self, monkeypatch):
+        # delta + (1 - delta)(1 + e^{i theta})/2 has minimum delta at pi; the
+        # node cells alone leave its second-order terms (about 0.04) above delta
+        delta = 0.01
+        c = np.array([delta + 0.5 * (1.0 - delta), 0.5 * (1.0 - delta)])
+        table = _fft.TaylorTable(0.0, 1.0, c)
+        lower, least, theta = table.floor(1e-9)
+        assert 1e-9 < lower <= delta
+        assert least == pytest.approx(delta, abs=1e-15) and theta == math.pi
+        monkeypatch.setattr(_fft, "FLOOR_LEVELS", 0)
+        assert table.floor(1e-9)[0] <= 1e-9
+
+    def test_zero_on_the_circle_is_not_proved(self):
+        lower, least, theta = _fft.TaylorTable(0.0, 1.0, np.array([0.5, 0.5])).floor(1e-9)
+        assert lower <= 0.0
+        assert least <= 1e-16 and theta == math.pi
+
+    def test_many_open_cells_stop_the_subdivision(self, monkeypatch):
+        # (1 + e^{100 i theta})/2 has 100 zeros on the circle: more than
+        # max(64, N/8) node cells stay open, so none is subdivided
+        c = np.zeros(101)
+        c[[0, 100]] = 0.5
+        table = _fft.TaylorTable(0.0, 1.0, c)
+        sizes = []
+        cell_bounds = _fft._cell_bounds
+
+        def counted(coef):
+            sizes.append(coef.shape[1])
+            return cell_bounds(coef)
+
+        monkeypatch.setattr(_fft, "_cell_bounds", counted)
+        assert table.floor(1e-9)[0] <= 0.0
+        assert sizes == [table.n_fft]
+
+    def test_point_mass(self):
+        lower, least, theta = _fft.TaylorTable(2.0, 0.0, np.array([1.0])).floor()
+        assert 1.0 - 1e-14 < lower <= least == 1.0 and theta == 0.0
+
+    def test_blocks_do_not_change_the_bound(self, monkeypatch):
+        c = np.full(20, 0.05)
+        c[0] += 0.001
+        c /= c.sum()
+        full = _fft.TaylorTable(0.0, 1.0, c).floor(1e-9)
+        assert full[0] > 1e-9
+        # one sub-cell per block: only the BLAS summation order changes
+        monkeypatch.setattr(_fft, "BLOCK_ENTRIES", 1)
+        assert _fft.TaylorTable(0.0, 1.0, c).floor(1e-9) == pytest.approx(full, rel=1e-12)
+        monkeypatch.setattr(_fft, "FLOOR_LEVELS", 0)
+        assert _fft.TaylorTable(0.0, 1.0, c).floor(1e-9)[0] <= 1e-9
+
+    def test_shift_matrix_is_exact(self):
+        from fractions import Fraction
+        order = 13
+        w, offsets = _fft._shift_matrix(order)
+        w = w.reshape(order + 1, 8, order + 1)
+        for i, s in enumerate(offsets):
+            s = Fraction((2 * i - 7), 8)
+            assert Fraction(offsets[i]) == s
+            for l in range(order + 1):
+                for m in range(order + 1):
+                    want = math.comb(l, m) * s ** (l - m) / 8 ** m if m <= l else 0
+                    assert Fraction(w[l, i, m]) == want
+
+
 class TestParity:
     @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 300), (513, 700), (1024, 1025)])
     def test_fftconvolve_matches_convolve(self, n1, n2):

@@ -272,6 +272,10 @@ class TestApproximateMixture:
         assert floor == pytest.approx((tau_mix - delta) / (delta + c_d - delta * c_d))
         assert floor > 0.0
         assert res.params["discrete_min_modulus"] >= floor - 1e-12
+        # tau_mix rests on the proven floor of the inner lattice approximant
+        inner = approximate_lattice(fair_bernoulli, 0.25 * eps).certificate
+        assert res.params["mu_d_eps"] == inner.lower_bound <= inner.min_modulus
+        assert 0.0 < res.params["discrete_lower_bound"] <= res.params["discrete_min_modulus"]
 
     def test_eps_range(self, uniform01):
         with pytest.raises(InputError):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qidlab import config
-from qidlab.charfn import CharFn
+from qidlab import _fft, config, zerofree
+from qidlab.charfn import CharFn, lattice_certificate
 from qidlab.dist import Law, law_from_atoms, mix, point_mass
-from qidlab.errors import InputError
+from qidlab.errors import InputError, LawShapeError, SelectionUnverifiableError
+from qidlab.pipelines import approximate_lattice
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
 from conftest import heavy_lattice_law
 
@@ -209,3 +210,80 @@ class TestSelectDelta:
             select_delta(skewed_two_atom, 0.0, 1.5)
         with pytest.raises(InputError):
             select_delta(skewed_two_atom, 0.0, 0.0)
+
+
+def sweep_law(n, seed):
+    """Smoothed random profile of n atoms on -0.7 + 1.3*{0..n-1}, no
+    heavy atom."""
+    rng = np.random.default_rng(seed)
+    prof = np.convolve(rng.gamma(2.0, size=n), np.ones(9) / 9.0, mode="same") + 0.05
+    return law_from_atoms([(-0.7 + 1.3 * k, float(m)) for k, m in enumerate(prof / prof.sum())],
+                          normalize=True)
+
+
+def oracle_min(law, n=1 << 18):
+    """min |f| over n equispaced points of one period, from one FFT of
+    the lattice coefficients: an upper bound on the true minimum."""
+    _, _, ks = law.discrete.lattice_fit
+    return float(np.min(np.abs(np.fft.fft(np.bincount(ks, weights=law.discrete.masses), n))))
+
+
+class TestLatticeCertificate:
+    @pytest.mark.parametrize("n", [80, 128, 200])
+    def test_sweep_proven_below_oracle(self, n):
+        for seed in range(20):
+            res = approximate_lattice(sweep_law(n, seed), 0.05)
+            cert = res.certificate
+            assert config.CERTIFICATE_FLOOR < cert.lower_bound <= cert.min_modulus
+            assert cert.lower_bound <= oracle_min(res.approximant)
+            assert cert.window_T == pytest.approx(2.0 * math.pi / 1.3, rel=1e-9)
+
+    def test_fair_bernoulli_needs_subdivision(self, fair_bernoulli, monkeypatch):
+        res = approximate_lattice(fair_bernoulli, 0.02)
+        delta = res.params["delta_eps"]
+        cert = res.certificate
+        assert config.CERTIFICATE_FLOOR < cert.lower_bound <= delta
+        assert cert.min_modulus == pytest.approx(delta, abs=1e-15)
+        assert cert.argmin_t == pytest.approx(math.pi, abs=1e-12)
+        monkeypatch.setattr(_fft, "FLOOR_LEVELS", 0)
+        assert lattice_certificate(CharFn(res.approximant)).lower_bound <= config.CERTIFICATE_FLOOR
+
+    def test_zero_on_the_circle(self, fair_bernoulli):
+        cert = lattice_certificate(CharFn(fair_bernoulli))
+        assert cert.lower_bound <= 0.0
+        assert cert.min_modulus <= 1e-16
+
+    def test_select_delta_rejects_a_candidate_with_a_zero(self, skewed_two_atom, monkeypatch):
+        # 0.375*e_0 + 0.625*(0.2*e_0 + 0.8*e_1) vanishes at t = pi
+        monkeypatch.setattr(zerofree, "bad_delta_set", lambda *args: [])
+        monkeypatch.setattr(zerofree, "_candidate_ladder", lambda bad, tau: [0.375])
+        with pytest.raises(SelectionUnverifiableError):
+            select_delta(skewed_two_atom, 0.0, 1.0)
+        cert = lattice_certificate(CharFn(mix(0.375, point_mass(0.0), skewed_two_atom)))
+        assert cert.lower_bound <= 0.0
+
+    def test_uniform_20000_atoms_within_table_cap(self):
+        n = 20_000
+        res = approximate_lattice(law_from_atoms([(float(k), 1.0 / n) for k in range(n)]), 0.05)
+        cert = res.certificate
+        assert config.CERTIFICATE_FLOOR < cert.lower_bound <= cert.min_modulus
+        table = CharFn(res.approximant)._atom_table
+        assert (table.order + 1) * table.n_fft <= _fft.TABLE_ENTRIES
+        assert cert.window_T / cert.grid_step == pytest.approx(table.n_fft)
+
+    def test_misfit_comes_off_the_bound(self):
+        # atoms off their fitted lattice by a few ulps: the bound drops by
+        # window_T times the misfit, never more than that and rounding
+        law = law_from_atoms([(0.0, 0.3), (0.1, 0.3), (0.30000000000000004, 0.4)])
+        cert = lattice_certificate(CharFn(law))
+        a, b, ks = law.discrete.lattice_fit
+        misfit = float(np.max(np.abs(law.discrete.locations - (a + b * ks))))
+        assert 0.0 < misfit
+        table_lower = CharFn(law)._atom_table.floor(config.CERTIFICATE_FLOOR)[0]
+        assert cert.lower_bound <= table_lower - cert.window_T * misfit
+
+    def test_needs_the_table_path(self, uniform01, skewed_two_atom):
+        for law in (uniform01, mix(0.5, skewed_two_atom, uniform01),
+                    law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])):
+            with pytest.raises(LawShapeError):
+                lattice_certificate(CharFn(law))
