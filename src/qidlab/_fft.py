@@ -54,7 +54,8 @@ class TaylorTable:
     it is allocated.
 
     floor() reads a lower bound on |P| over the whole period from the
-    rows (its docstring).
+    rows, and allowance(T) bounds the rounding of S over |t| <= T (their
+    docstrings).
     """
 
     def __init__(self, x0: float, step: float, c: np.ndarray):
@@ -77,6 +78,8 @@ class TaylorTable:
                              f"{n} coefficients exceeds the limit of {TABLE_ENTRIES}")
         self.order = order
         self._centre = x0 + kc * step
+        # X + |centre| of allowance(), X the largest |x - centre| on the grid
+        self._spread = max(kc, n - 1 - kc) * abs(step) + abs(self._centre)
         self._scale = step * self.n_fft / (2.0 * math.pi)
         # row m: c_k (i(k - kc)pi/N)^m / m!, placed at index (k - kc) mod N
         rows = np.empty((order + 1, n), dtype=complex)
@@ -101,6 +104,20 @@ class TaylorTable:
             acc *= u
             acc += self.table[m][j]
         return np.exp(1j * self._centre * t) * acc
+
+    def allowance(self, T: float) -> float:
+        """A bound on |__call__(t) - S(t)| at every |t| <= T, with
+        u = 2^-53 and A = sum_k |c_k|: the rows' R of floor() without
+        subdivision, (1.25 + 8 (M + 1)(log2 N + M)) u A; 4 M u A for the
+        Horner steps, as |u| <= 1 and sum_m |D_m[j]| <= e^(pi/8) A; 8 u A
+        for the factor exp(i*centre*t) and its product; and
+        T (X + |centre|) u A for the rounding of t*scale and centre*t,
+        which moves the phase by at most that over A, X being the largest
+        |x - centre| on the grid (|dS/dt| <= X A).
+        """
+        order = self.order
+        terms = 1.25 + 8.0 * (order + 1) * (math.log2(self.n_fft) + order) + 4.0 * order + 8.0
+        return (terms + T * self._spread) * _U * self._abs_sum
 
     def floor(self, floor: float = 0.0) -> tuple[float, float, float]:
         """(lower, least, theta): a proven lower bound on |P| over every

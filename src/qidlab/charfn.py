@@ -24,7 +24,13 @@ The same rows prove a floor: on the cell around each node the Taylor
 polynomial, less its first-order part, moves |P| by at most the sum of
 its higher coefficients, so lattice_certificate bounds |f| of a pure
 lattice law from table reads and a few subdivided cells, with no grid
-scan; laws with a density part keep the sampled min_modulus_scan.
+scan. Every other law is proved from CF values on a uniform grid by
+chord_certificate: e^{-it*mu} f, mu the mean, has second derivative at
+most the variance V, so on a cell of width h it stays within (h^2/8) V
+of its chord, and cells whose bound is at or below the floor are
+bisected. CharFn.allowance bounds the rounding of every computed value,
+so both are proofs; min_modulus_scan, a sampled minimum with
+parabolic polish, serves only explicit scans (check-zero-free).
 
 The log branch of a lattice polynomial P(theta) = sum_k c_k e^{ik*theta}
 (_track_branch, which spectral extraction reads) is one inverse FFT of
@@ -41,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from ._fft import BLOCK_ENTRIES, TaylorTable
+from ._fft import BLOCK_ENTRIES, FLOOR_LEVELS, TaylorTable, _cell_bounds
 from .dist import DiscreteLaw, Law
 from .errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                      SpectralExtractionError)
@@ -69,17 +75,21 @@ LATTICE_FILL_MAX = 8
 # the misfit.
 _LATTICE_FIT_ULPS = 16
 
+_U = 2.0 ** -53
+
 @dataclass(frozen=True)
 class ZeroFreeCertificate:
     """Evidence that |f| stays positive: window, resolution, least
     modulus evaluated and where, and, when proved, a lower bound.
 
-    lower_bound, when present (lattice_certificate), is a proof: |f| >=
-    lower_bound at every |t| <= window_T, with float rounding allowed
-    for; as the window is one period of the lattice polynomial, it
-    holds at every real t for the lattice law the Taylor table sums.
-    Without it (min_modulus_scan) min_modulus is a sampled minimum,
-    grid plus polish, which may lie above the true one.
+    lower_bound, when present (lattice_certificate, chord_certificate),
+    is a proof: |f| >= lower_bound at every |t| <= window_T, with float
+    rounding allowed for; min_modulus, the least modulus evaluated, is
+    at or above it. On a lattice a + b*Z the window spans at least half
+    a period 2*pi/b of |f|, which is even, so the bound holds at every
+    real t for the law on the fitted lattice. Without it
+    (min_modulus_scan) min_modulus is a sampled minimum, grid plus
+    polish, which may lie above the true one.
 
     tail_bound, when present, is a proven bound on the modulus of the
     continuous-part contribution at every |t| > window_T (the closed
@@ -98,12 +108,6 @@ class ZeroFreeCertificate:
             raise InputError("window and grid step must be positive")
         if self.min_modulus < 0:
             raise InputError("min_modulus must be nonnegative")
-
-    @property
-    def certified_min(self) -> float:
-        """lower_bound where proved, else the sampled min_modulus: the
-        value to hold against a floor."""
-        return self.min_modulus if self.lower_bound is None else self.lower_bound
 
 
 class CharFn:
@@ -177,6 +181,35 @@ class CharFn:
         """CF values on the uniform grid t0 + dt*arange(n), from the same
         tables as __call__."""
         return _blocked(t0 + dt * np.arange(n), self._mixed_sum, self._width)
+
+    def allowance(self, T: float) -> float:
+        """A bound on |self(t) - f(t)| at every |t| <= T, f the CF of the
+        law with its atoms at their stored locations. With u = 2^-53 it
+        adds, each part weighted by its share of the law:
+          - for a Taylor table TaylorTable.allowance, and for lattice
+            atoms T times their misfit (_lattice_misfit), as a move of d
+            changes exp(itx) by at most |t|*d;
+          - for dense atoms (n + 4 + T*max|x|) u times their mass: t*x
+            rounds by |tx| u, exp adds 2u and the sum of n products n u;
+          - for the nodes 24 u times their mass, for the sinc^2 factor:
+            its argument's rounding moves sinc by at most 4u (|x sinc'(x)|
+            <= 2), sin and the quotient add 4u, the square and the
+            product the rest;
+          - 4 u for weighting and adding the parts.
+        """
+        out = 4.0 * _U
+        if self._locs is not None:
+            if self._lattice is None:
+                xmax = float(np.max(np.abs(self._locs)))
+                part = (self._locs.size + 4.0 + T * xmax) * _U * float(np.sum(self._masses))
+            else:
+                part = self._atom_table.allowance(T) + T * _lattice_misfit(self.law.discrete)
+            out += self._w * part
+        if self._nodes is not None:
+            d = self.law.continuous
+            mass = d.grid_step * float(np.sum(d.samples))
+            out += (1.0 - self._w) * (d.node_table.allowance(T) + 24.0 * _U * mass)
+        return out
 
 
 def _blocked(t: np.ndarray, part, width: int) -> np.ndarray:
@@ -302,6 +335,16 @@ def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
                                min_modulus=best_v, argmin_t=best_t)
 
 
+def _lattice_misfit(disc: DiscreteLaw) -> float:
+    """Largest distance of an atom from its point a + b*k of lattice_fit,
+    which the Taylor table sums, plus two ulps of the largest of
+    |location| and b*k for the rounding of a + b*k."""
+    a, b, ks = disc.lattice_fit
+    locs = disc.locations
+    scale = max(float(np.max(np.abs(locs))), b * float(ks[-1]))
+    return float(np.max(np.abs(locs - (a + b * ks)))) + 2.0 * float(np.spacing(scale))
+
+
 def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
     """Proven certificate of a pure lattice law on a + b*Z from its
     Taylor table (TaylorTable.floor, subdividing cells bounded at or
@@ -310,26 +353,141 @@ def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
     the least modulus evaluated there, argmin_t its |t| folded into
     [0, pi/b]. The table sums the masses at a + b*k, within
     _LATTICE_FIT_ULPS of the atoms, and a misfit of d moves |f| by at
-    most |t|*d, so window_T times the misfit (plus two ulps of the
-    largest of |location| and b*k for its own rounding) comes off
+    most |t|*d, so window_T times _lattice_misfit comes off
     lower_bound. A point mass (b = 0) has |f| = 1 everywhere and takes
     the window of b = 1.
     """
     if not f.is_lattice_table:
         raise LawShapeError("lattice_certificate needs a pure lattice law on the Taylor-table path")
-    a, b, _ = f._lattice
+    b = f._lattice[1]
     table = f._atom_table
     lower, least, theta = table.floor(config.CERTIFICATE_FLOOR)
     span = b if b > 0 else 1.0
     window = 2.0 * math.pi / span
-    locs = f.law.discrete.locations
-    ks = f.law.discrete.lattice_fit[2]
-    scale = max(float(np.max(np.abs(locs))), b * float(ks[-1]))
-    misfit = float(np.max(np.abs(locs - (a + b * ks)))) + 2.0 * float(np.spacing(scale))
     return ZeroFreeCertificate(window_T=window, grid_step=window / table.n_fft,
                                min_modulus=least,
                                argmin_t=min(theta, 2.0 * math.pi - theta) / span,
-                               lower_bound=lower - window * misfit)
+                               lower_bound=lower - window * _lattice_misfit(f.law.discrete))
+
+
+def _centred_moments(law: Law) -> tuple[float, float]:
+    """(mu, V): the mean mu of the law and its second moment V about mu,
+    the sum of m*(x - mu)^2 over the atoms plus, for each density node
+    x_i, the weight h*s_i of its hat times (x_i - mu)^2 + h^2/6, h^2/6
+    being the variance of a hat of half-width h. V is raised by
+    (2n + 8) u for the rounding of its n terms."""
+    w = law.discrete_weight
+    xs, ms, hats = [], [], 0.0
+    if law.discrete is not None:
+        xs.append(law.discrete.locations)
+        ms.append(w * law.discrete.masses)
+    if law.continuous is not None:
+        d = law.continuous
+        xs.append(d.nodes)
+        ms.append((1.0 - w) * d.grid_step * d.samples)
+        hats = float(np.sum(ms[-1])) * d.grid_step ** 2 / 6.0
+    x, m = np.concatenate(xs), np.concatenate(ms)
+    mu = float(m @ x) / float(np.sum(m))
+    V = (float(m @ (x - mu) ** 2) + hats) * (1.0 + (2.0 * x.size + 8.0) * _U)
+    return mu, V
+
+
+def chord_certificate(fn, step: float, n: int, law: Law, allowance: float, values=None,
+                      tail_bound: float | None = None) -> ZeroFreeCertificate:
+    """Proven certificate of |f| over |t| <= T = step*(n - 1), f the CF
+    of law, from f computed at the n points t_k = step*k: values(lo, hi)
+    returns those with lo <= k < hi (by default fn on them), and fn
+    computes f at any array of t; allowance bounds the error of both at
+    every |t| <= T (CharFn.allowance).
+
+    With mu the mean of the law and V its second moment about mu
+    (_centred_moments), g(t) = e^{-it*mu} f(t) has |g''| <= V, so on a
+    cell of width h, g stays within (h^2/8) V of the chord between its
+    end values, and there
+
+        |f| >= dist(0, chord) - (h^2/8) V - R,
+
+    R being the allowance plus (|mu|*T + 16) u for the rotation by
+    e^{-it*mu} and the arithmetic of the bound. The grid is read in
+    blocks of BLOCK_ENTRIES // 16 cells. Cells bounded at or below
+    config.CERTIFICATE_FLOOR are bisected, one call of fn per level for
+    all of them, for up to 3*FLOOR_LEVELS levels, the refinement
+    8^FLOOR_LEVELS of TaylorTable.floor. More than max(64, (n - 1)/8)
+    open cells stop the subdivision, as there, and lower_bound then
+    stays at or below the floor. min_modulus is the least |f| computed
+    and argmin_t where; as f(-t) = conj f(t), the window is [-T, T].
+    """
+    if n < 2:
+        raise InputError("a chord certificate needs two or more grid points")
+    if values is None:
+        values = lambda lo, hi: fn(step * np.arange(lo, hi))
+    mu, V = _centred_moments(law)
+    T = step * (n - 1)
+    slack = allowance + (abs(mu) * T + 16.0) * _U
+    cap = max(64, (n - 1) // 8)
+    floor = config.CERTIFICATE_FLOOR
+
+    lower, least, at = math.inf, math.inf, 0.0
+
+    def rotated(t, v):
+        nonlocal least, at
+        m = np.abs(v)
+        k = int(np.argmin(m))
+        if m[k] < least:
+            least, at = float(m[k]), float(t[k])
+        return v * np.exp(-1j * mu * t)
+
+    def bounds(lo, hi, g_lo, g_hi):
+        return (_cell_bounds(np.array([0.5 * (g_lo + g_hi), 0.5 * (g_hi - g_lo)]))
+                - 0.125 * V * (hi - lo) ** 2 - slack)
+
+    cells, n_open = [], 0
+    rows = BLOCK_ENTRIES // 16
+    for k0 in range(0, n - 1, rows):
+        t = step * np.arange(k0, min(n, k0 + rows + 1))
+        g = rotated(t, values(k0, k0 + t.size))
+        b = bounds(t[:-1], t[1:], g[:-1], g[1:])
+        shut = b > floor
+        lower = min(lower, float(b[shut].min(initial=math.inf)))
+        n_open += int(shut.size - np.count_nonzero(shut))
+        if n_open > cap:
+            # too many to subdivide: lower takes them as they are
+            lower = min(lower, float(b.min()))
+            shut[:] = True
+        cells.append(tuple(z[~shut] for z in (t[:-1], t[1:], g[:-1], g[1:], b)))
+    lo, hi, g_lo, g_hi, b = (np.concatenate(z) for z in zip(*cells))
+    for _ in range(3 * FLOOR_LEVELS if n_open <= cap else 0):
+        if b.size == 0 or b.size > cap:
+            break
+        mid = 0.5 * (lo + hi)
+        g_mid = rotated(mid, np.asarray(fn(mid)))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        g_lo, g_hi = np.concatenate((g_lo, g_mid)), np.concatenate((g_mid, g_hi))
+        b = bounds(lo, hi, g_lo, g_hi)
+        shut = b > floor
+        lower = min(lower, float(b[shut].min(initial=math.inf)))
+        lo, hi, g_lo, g_hi, b = (z[~shut] for z in (lo, hi, g_lo, g_hi, b))
+    if b.size:
+        lower = min(lower, float(b.min()))
+    return ZeroFreeCertificate(window_T=T, grid_step=step, min_modulus=least, argmin_t=at,
+                               tail_bound=tail_bound, lower_bound=lower)
+
+
+def half_period_certificate(f: CharFn) -> ZeroFreeCertificate:
+    """Proven certificate of a pure law on a lattice a + b*Z of two or
+    more atoms, for atoms the Taylor table does not take:
+    chord_certificate over [0, pi/b], rounded up to the grid, at step
+    pi/(8*width), width the support width (8 steps per half-turn of the
+    fastest phase). |f| of a lattice law is even and 2*pi/b-periodic,
+    so half a period covers all of it.
+    """
+    disc = f.law.discrete
+    if not f.law.is_pure_discrete or disc.locations.size < 2:
+        raise LawShapeError("half_period_certificate needs a pure lattice law of two or more atoms")
+    b = disc.lattice_params()[1]
+    step = math.pi / (8.0 * float(disc.locations[-1] - disc.locations[0]))
+    n = math.ceil(math.pi / b / step) + 1
+    return chord_certificate(f, step, n, f.law, f.allowance(step * (n - 1)))
 
 
 def decay_window(f: CharFn, threshold: float) -> float:
@@ -407,8 +565,13 @@ def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
     return 0.5 * (x1 + x2)
 
 
-def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
+def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
+                   values: np.ndarray | None = None) -> list[float]:
     """Refined roots of Im(f0(t) e^{-it*gamma0}) in [-T, T].
+
+    values, when given, holds f0 on step*arange(m) for some
+    m >= ceil(T/step) + 1, as eval_grid computes it, and stands in for
+    the grid evaluation.
 
     The function is odd, as f0(-t) = conj f0(t), so the grid runs over
     [0, T] and the roots found there are returned with their negatives,
@@ -426,7 +589,11 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float) -> list[flo
     g = lambda t: np.imag(f0(t) * np.exp(-1j * gamma0 * t))
     n = int(math.ceil(T / step))
     ts = step * np.arange(n + 1)
-    vals = np.imag(f0.eval_grid(0.0, step, n + 1) * np.exp(-1j * gamma0 * ts))
+    if values is None:
+        values = f0.eval_grid(0.0, step, n + 1)
+    elif values.size < n + 1:
+        raise InputError(f"{values.size} grid values do not cover {n + 1} scan points")
+    vals = np.imag(values[:n + 1] * np.exp(-1j * gamma0 * ts))
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-12:
         raise IdenticallyZeroImagError(

@@ -38,14 +38,8 @@ LOG_MODULUS_FLOOR = 1e-6
 REFINE_XTOL = 1e-12
 REFINE_TOP = 5
 
-# Zero-free scans of laws with a density part: grid samples per CF
-# oscillation 2*pi/width.
-SAMPLES_PER_OSCILLATION = 64
-
-# Zero-free scans: default cells per window, total-point cap for wide
-# windows, and the window inside which bad mixing weights are collected.
-SCAN_CELLS = 2048
-SCAN_POINTS_CAP = 1 << 17
+# Delta selection: the window inside which bad mixing weights are
+# collected.
 BADSET_WINDOW = 64.0 * 3.141592653589793
 
 # Delta selection: candidates tried and the minimal distance the chosen

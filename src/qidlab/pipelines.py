@@ -17,8 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from . import config
-from .charfn import CharFn, ZeroFreeCertificate, lattice_certificate, min_modulus_scan
+from .charfn import CharFn, ZeroFreeCertificate, half_period_certificate, lattice_certificate
 from .dist import (DiscreteLaw, Law, continuous_bernoulli, convolve,
                    mass_on_interval, mix, point_mass, restrict_density,
                    support_info, tv_distance)
@@ -46,8 +45,9 @@ class ApproxResult:
             raise PipelineError(
                 f"measured tv {self.tv_value!r} exceeds claimed bound "
                 f"{self.tv_bound_claimed!r}; the construction is broken")
-        if not (self.certificate.min_modulus > 0):
-            raise PipelineError("certificate minimum must be positive")
+        lower = self.certificate.lower_bound
+        if lower is None or not lower > 0:
+            raise PipelineError(f"certificate lower bound {lower!r} is not a positive proof")
 
 
 def _require_eps(eps: float, hi: float = 1.0) -> None:
@@ -282,8 +282,8 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     F_d = Law(1.0, F.discrete, None)
     inner = approximate_lattice(F_d, 0.25 * eps)
     F_d_eps = inner.approximant
-    # proven floor of |f_d_eps| on the Taylor table, sampled on the dense path
-    mu_d = inner.certificate.certified_min
+    # proven floor of |f_d_eps|
+    mu_d = inner.certificate.lower_bound
     F_eps = mix(c_d, F_d_eps, F_a_eps)
     cext = support_info(F_eps).cext
     d_info = support_info(F_d_eps)
@@ -296,11 +296,7 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     if not (floor > 0):
         raise PipelineError("discrete-part lower bound is not positive")
     f_d = CharFn(Law(1.0, out.discrete, None))
-    if f_d.is_lattice_table:
-        cert_d = lattice_certificate(f_d)
-    else:
-        period = 2.0 * math.pi / out.discrete.lattice_params()[1]
-        cert_d = min_modulus_scan(f_d, period, period / config.SCAN_CELLS)
+    cert_d = lattice_certificate(f_d) if f_d.is_lattice_table else half_period_certificate(f_d)
     if cert_d.min_modulus < floor - 1e-12:
         raise PipelineError("mixed discrete part dips below its guaranteed floor")
     params = {"r_eps": r_eps, "c_eps": c_eps, "gamma_eps": gamma2,

@@ -1,25 +1,27 @@
 """Selection of a mixing weight delta in (0, tau) such that
-delta*e^{it*gamma0} + (1-delta)*f0(t) has no real zeros, with a scan
+delta*e^{it*gamma0} + (1-delta)*f0(t) has no real zeros, with a proven
 certificate.
 
 Zeros can only occur where Im(f0(t)e^{-it*gamma0}) vanishes, and there
 only at one specific delta per root; the selector enumerates those bad
 weights on a window, picks the candidate farthest from all of them and
 certifies the resulting mixture: a pure lattice mixture on the Taylor
-table by the proven floor of lattice_certificate, any other by a
-minimum-modulus scan.
+table by the proven floor of lattice_certificate, any other by
+chord_certificate from the same CF grid of f0 that the root scan read,
+so f0 is evaluated on one grid per selection.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .charfn import (CharFn, ZeroFreeCertificate, _merge_close, decay_window, imag_zero_scan,
-                     lattice_certificate, min_modulus_scan)
+from ._fft import BLOCK_ENTRIES
+from .charfn import (_U, CharFn, ZeroFreeCertificate, _merge_close, chord_certificate,
+                     decay_window, imag_zero_scan, lattice_certificate)
 from .dist import Law, is_shift_symmetric, mix, point_mass, support_info
 from .errors import InputError, SelectionUnverifiableError
 
@@ -47,47 +49,33 @@ class DeltaSelection:
             raise InputError("certificate must have positive minimum")
 
 
-def _scan_params(F0: Law, delta_hint: float,
-                 cap: float | None = None) -> tuple[float, float, float | None]:
-    """Window and step for scans of delta*e^{it*gamma0} + (1-delta)*f0,
-    f0 the CF of F0.
+def _scan_window(f0: CharFn, delta_hint: float,
+                 cap: float | None = None) -> tuple[float, float | None]:
+    """Window for certificates of delta*e^{it*gamma0} + (1-delta)*f0,
+    f0 the CF of the law F0.
 
     Lattice part: one CF period 2*pi/span is exhaustive. Density part:
     the decay_window beyond which the density contribution to the
     mixture stays below delta_hint/2 in modulus, a bound that holds at
-    every |t| past the window. Returns (T, step, tail_bound), tail_bound
+    every |t| past the window. Returns (T, tail_bound), tail_bound
     being that delta_hint/2 (None without a density part, or when cap
-    cuts the density window short). The step coarsens so the total
-    point count stays below the configured cap.
+    cuts the density window short).
     """
+    F0 = f0.law
     T_lattice = 0.0
     T_density = 0.0
-    step = math.inf
     tail = None
     if F0.discrete is not None and F0.discrete.locations.size >= 2:
-        a, b = F0.discrete.lattice_params()
-        period = 2.0 * math.pi / b
-        locs = F0.discrete.locations
-        degree = max(8, int(round((locs[-1] - locs[0]) / b)))
-        T_lattice = period
-        step = min(step, period / max(config.SCAN_CELLS, 32 * degree))
+        T_lattice = 2.0 * math.pi / F0.discrete.lattice_params()[1]
     if F0.continuous is not None:
-        d = F0.continuous
-        width = max(d.nodes[-1] - d.grid_origin, d.grid_step)
-        step = min(step, (2.0 * math.pi / width) / config.SAMPLES_PER_OSCILLATION)
         coeff = (1.0 - delta_hint) * (1.0 - F0.discrete_weight)
-        T_density = decay_window(CharFn(F0), delta_hint / (2.0 * coeff))
+        T_density = decay_window(f0, delta_hint / (2.0 * coeff))
         tail = 0.5 * delta_hint
         if cap is not None and T_density > cap:
             # the bound covers only |t| past the uncapped window
             T_density, tail = cap, None
     T = max(T_lattice, T_density)
-    if T == 0.0:
-        T = 4.0 * math.pi
-    if not math.isfinite(step):
-        step = T / config.SCAN_CELLS
-    step = max(step, T / config.SCAN_POINTS_CAP)
-    return T, step, tail
+    return (T if T > 0.0 else 4.0 * math.pi), tail
 
 
 def _root_scan_step(F0: Law, gamma0: float) -> float:
@@ -98,7 +86,8 @@ def _root_scan_step(F0: Law, gamma0: float) -> float:
     return math.pi / (8.0 * extent)
 
 
-def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[float]:
+def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float,
+                  values: np.ndarray | None = None) -> list[float]:
     """Mixing weights delta' at which the mixture CF can vanish.
 
     At every root t' of Im(f1) with f1(t) = f0(t)e^{-it*gamma0} and
@@ -110,7 +99,8 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
     as f1(-t) = conj f1(t), and for a pure lattice law on a + b*Z with
     gamma0 on its lattice also t and 2*pi/b - t, as f1 then has period
     2*pi/b; the scan then stops at pi/b plus one step, which the fold
-    covers. Folded roots merge as in imag_zero_scan.
+    covers. Folded roots merge as in imag_zero_scan, which reads values,
+    f0 on step*arange(m) with m >= ceil(T/step) + 1, when given.
     """
     law = f0.law
     centre = support_info(law).cext
@@ -118,20 +108,27 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float) -> list[floa
         raise InputError(
             "gamma0 equals the support center of a shift-symmetric law; "
             "the imaginary part of the recentered CF vanishes identically")
-    period = None
-    fit = law.discrete.lattice_fit if law.is_pure_discrete else None
-    if fit is not None and fit[1] > 0:
-        m = (gamma0 - fit[0]) / fit[1]
-        if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit[2][-1]:
-            period = 2.0 * math.pi / fit[1]
-            T = min(T, 0.5 * period + step)
-    roots = np.abs(imag_zero_scan(f0, gamma0, T, step))
+    period = _fold_period(law, gamma0)
+    if period is not None:
+        T = min(T, 0.5 * period + step)
+    roots = np.abs(imag_zero_scan(f0, gamma0, T, step, values))
     if period is not None:
         roots = np.minimum(roots % period, period - roots % period)
     roots = np.array(_merge_close(roots))
     re = (f0(roots) * np.exp(-1j * gamma0 * roots)).real
     re = re[re < -1e-15]
     return _merge_close((-re / (1.0 - re)).tolist(), 1e-12)
+
+
+def _fold_period(law: Law, gamma0: float) -> float | None:
+    """2*pi/b when law is pure discrete on a + b*Z, b > 0, with gamma0
+    on that lattice, so that f0(t) e^{-it*gamma0} has period 2*pi/b."""
+    fit = law.discrete.lattice_fit if law.is_pure_discrete else None
+    if fit is not None and fit[1] > 0:
+        m = (gamma0 - fit[0]) / fit[1]
+        if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit[2][-1]:
+            return 2.0 * math.pi / fit[1]
+    return None
 
 
 def _candidate_ladder(bad: list[float], tau: float) -> list[float]:
@@ -147,22 +144,58 @@ def _candidate_ladder(bad: list[float], tau: float) -> list[float]:
     return cands[:config.DELTA_CANDIDATES]
 
 
+def _mixture_allowance(f0: CharFn, delta: float, gamma0: float, mixture: Law, T: float) -> float:
+    """A bound, at every |t| <= T, on the distance between
+    delta*exp(i*gamma0*t) + (1 - delta)*f0(t) as computed and the CF of
+    mixture = mix(delta, point_mass(gamma0), F0), with u = 2^-53:
+    (1 - delta) f0.allowance(T); delta (2 |gamma0| T + 4) u for the
+    point mass, whose phase gamma0*t rounds twice; 24 u for combining the two and for mix's normalising of the
+    masses and weights; (1 - delta) w |sum m - 1| for the atom masses m
+    of F0 (weight w), whose shortfall from 1 mix normalises away; and T
+    times the largest move of an atom when mix merged atoms within
+    ATOM_MERGE_TOL."""
+    F0 = f0.law
+    out = (1.0 - delta) * f0.allowance(T) + delta * (2.0 * abs(gamma0) * T + 4.0) * _U + 24.0 * _U
+    locs = np.array([gamma0])
+    if F0.discrete is not None:
+        locs = np.append(F0.discrete.locations, gamma0)
+        out += (1.0 - delta) * F0.discrete_weight * abs(math.fsum(F0.discrete.masses) - 1.0)
+    merged = mixture.discrete.locations
+    moved = locs - merged[np.searchsorted(merged, locs, side="right") - 1]
+    return out + T * float(np.max(np.abs(moved)))
+
+
 def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     """Pick delta in (0, tau) keeping the mixture CF zero-free,
     maximizing the distance to the bad weights.
 
+    F0's CF is evaluated once, on the root-scan grid of bad_delta_set.
     A candidate whose mixture is a pure lattice law on the Taylor table
-    is accepted when lattice_certificate proves |f| > CERTIFICATE_FLOOR;
-    any other when min_modulus_scan finds its minimum above that floor.
-    Raises SelectionUnverifiableError when no candidate is accepted.
+    is certified by lattice_certificate; any other by chord_certificate
+    from delta*e^{it*gamma0} + (1-delta)*f0 on that grid, over
+    _scan_window(delta), or over half a period when F0 is a lattice law
+    with gamma0 on it. The grid is extended only when that window
+    reaches past it, and a window of more than 4*BLOCK_ENTRIES grid
+    points (64 MiB of values) rejects the candidate. A candidate is accepted when its lower_bound
+    exceeds CERTIFICATE_FLOOR; SelectionUnverifiableError is raised when
+    none is.
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
-    # F0's CF, and the Taylor table it builds, live only for the root
-    # scan, so no two tables are held while candidates are certified
-    T0, _, _ = _scan_params(F0, delta_hint=0.5 * tau, cap=config.BADSET_WINDOW)
-    bad = bad_delta_set(CharFn(F0), gamma0, T0, _root_scan_step(F0, gamma0))
-    last_min = 0.0
+    f0 = CharFn(F0)
+    step = _root_scan_step(F0, gamma0)
+    T0, _ = _scan_window(f0, delta_hint=0.5 * tau, cap=config.BADSET_WINDOW)
+    period = _fold_period(F0, gamma0)
+    if period is not None:
+        T0 = min(T0, 0.5 * period + step)
+    grid = f0.eval_grid(0.0, step, int(math.ceil(T0 / step)) + 1)
+    bad = bad_delta_set(f0, gamma0, T0, step, grid)
+    if f0.is_lattice_table:
+        # lattice candidates are certified on their own tables; a fresh
+        # CharFn builds F0's table again only if some candidate needs f0,
+        # so no two tables are held at once
+        f0 = CharFn(F0)
+    best = -math.inf
     for delta in _candidate_ladder(bad, tau):
         if any(abs(delta - d) < config.DELTA_SEPARATION for d in bad):
             continue
@@ -171,12 +204,22 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
         if f.is_lattice_table:
             cert = lattice_certificate(f)
         else:
-            T, step, tail = _scan_params(F0, delta_hint=delta)
-            cert = replace(min_modulus_scan(f, T, step), tail_bound=tail)
-        last_min = max(last_min, cert.certified_min)
-        if cert.certified_min > config.CERTIFICATE_FLOOR:
+            T, tail = (0.5 * period, None) if period is not None else _scan_window(f0, delta)
+            n = int(math.ceil(T / step)) + 1
+            if n > 4 * BLOCK_ENTRIES:
+                continue
+            if n > grid.size:
+                grid = np.concatenate((grid, f0(step * np.arange(grid.size, n))))
+            cert = chord_certificate(
+                lambda t: delta * np.exp(1j * gamma0 * t) + (1.0 - delta) * f0(t), step, n,
+                mixture, _mixture_allowance(f0, delta, gamma0, mixture, step * (n - 1)),
+                values=lambda lo, hi: (delta * np.exp(1j * gamma0 * step * np.arange(lo, hi))
+                                       + (1.0 - delta) * grid[lo:hi]),
+                tail_bound=tail)
+        best = max(best, cert.lower_bound)
+        if cert.lower_bound > config.CERTIFICATE_FLOOR:
             return DeltaSelection(delta=delta, bad_deltas=tuple(bad), certificate=cert,
                                   gamma0=gamma0, tau=tau, law=mixture)
     raise SelectionUnverifiableError(
         f"no candidate delta in (0, {tau}) produced a certified positive "
-        f"minimum (best {last_min:.3e})")
+        f"minimum (best {best:.3e})")

@@ -175,7 +175,7 @@ class TestCommands:
         assert cert["grid_step"] == 0.01
 
     def test_certificate_lower_bound_written(self, fair_path, skew_path, tmp_path, capsys):
-        # proven on the lattice path, null for sampled certificates
+        # proven by approximate on every path, null for check-zero-free scans
         out = tmp_path / "res.json"
         assert main(["approximate", fair_path, "--mode", "lattice", "--eps", "0.02",
                      "--out", str(out)]) == 0
@@ -187,8 +187,9 @@ class TestCommands:
                  str(law))
         assert main(["approximate", str(law), "--mode", "mixture", "--eps", "0.1",
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["certificate"]["lower_bound"] is None
-        assert "(sampled)" in capsys.readouterr().out
+        cert = json.loads(out.read_text())["certificate"]
+        assert 0.0 < cert["lower_bound"] <= cert["min_modulus"]
+        assert f"(proven bound {cert['lower_bound']:.6g})" in capsys.readouterr().out
         assert main(["check-zero-free", skew_path, "--window", "7.0", "--step", "0.01",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["lower_bound"] is None

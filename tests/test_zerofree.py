@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qidlab import _fft, config, zerofree
-from qidlab.charfn import CharFn, lattice_certificate
-from qidlab.dist import Law, law_from_atoms, mix, point_mass
-from qidlab.errors import InputError, LawShapeError, SelectionUnverifiableError
+from qidlab import _fft, charfn, config, zerofree
+from qidlab.charfn import CharFn, chord_certificate, lattice_certificate
+from qidlab.dist import (Law, density_from_callable, law_from_atoms, law_from_density, mix,
+                         point_mass, support_info, uniform_density)
+from qidlab.errors import (InputError, LawShapeError, PipelineError,
+                           SelectionUnverifiableError)
 from qidlab.pipelines import approximate_lattice
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
 from conftest import heavy_lattice_law
@@ -287,3 +290,142 @@ class TestLatticeCertificate:
                     law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])):
             with pytest.raises(LawShapeError):
                 lattice_certificate(CharFn(law))
+
+
+def direct_cf(law, ts):
+    """CF by direct sums over atoms and density hats, in blocks of t."""
+    out = np.zeros(ts.size, dtype=complex)
+    w = law.discrete_weight
+    for lo in range(0, ts.size, 2000):
+        t = ts[lo:lo + 2000]
+        if law.discrete is not None:
+            out[lo:lo + 2000] += w * (np.exp(1j * np.outer(t, law.discrete.locations))
+                                      @ law.discrete.masses)
+        if law.continuous is not None:
+            d = law.continuous
+            out[lo:lo + 2000] += ((1.0 - w) * np.sinc(t * d.grid_step / (2.0 * math.pi)) ** 2
+                                  * (np.exp(1j * np.outer(t, d.nodes)) @ (d.grid_step * d.samples)))
+    return out
+
+
+def three_bumps(x):
+    return sum(h * np.exp(-0.5 * ((x - c) / 0.06) ** 2)
+               for c, h in ((0.2, 1.0), (0.5, 0.6), (0.75, 1.3)))
+
+
+CHORD_LAWS = {
+    "uniform": lambda: uniform_density(0.0, 1.0, cells=256),
+    "truncated_normal": lambda: density_from_callable(lambda x: np.exp(-0.5 * x * x), -3.0, 3.0,
+                                                      cells=256),
+    "three_bumps": lambda: density_from_callable(three_bumps, 0.0, 1.0, cells=256),
+    "two_cell_spike": lambda: law_from_density(0.4, 0.01, [0.0, 100.0, 0.0]),
+    "atoms_and_density": lambda: mix(0.3, law_from_atoms([(0.2, 0.6), (0.5, 0.4)]),
+                                     uniform_density(0.0, 1.0, cells=256)),
+}
+
+
+def skew_uniform_mixture():
+    return mix(0.4, law_from_atoms([(0.0, 0.2), (1.0, 0.8)]), uniform_density(0.0, 1.0))
+
+
+class TestChordCertificate:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("name", sorted(CHORD_LAWS))
+    def test_floor_below_direct_minimum(self, name, side):
+        # the proven floor over [-T, T] never exceeds a dense direct-sum
+        # minimum of the returned mixture, with gamma0 at either end of the
+        # density grid (the spike's support at node resolution is one node)
+        law = CHORD_LAWS[name]()
+        info, nodes = support_info(law), law.continuous.nodes
+        gamma0 = min(info.lext, nodes[0]) if side == "left" else max(info.rext, nodes[-1])
+        sel = select_delta(law, gamma0, 0.05)
+        cert = sel.certificate
+        assert config.CERTIFICATE_FLOOR < cert.lower_bound <= cert.min_modulus
+        assert cert.tail_bound == 0.5 * sel.delta
+        ts = np.linspace(-cert.window_T, cert.window_T, 20_001)
+        assert cert.lower_bound <= float(np.min(np.abs(direct_cf(sel.law, ts))))
+
+    def test_close_to_a_bad_weight_needs_bisection(self, monkeypatch):
+        law = skew_uniform_mixture()
+        bad = bad_delta_set(CharFn(law), 0.0, 2.0 * math.pi, _root_scan_step(law, 0.0))
+        near = bad[0] * (1.0 + 1e-3)
+        monkeypatch.setattr(zerofree, "_candidate_ladder", lambda bad, tau: [near])
+        calls = []
+        monkeypatch.setattr(zerofree, "chord_certificate", lambda fn, *args, **kw: chord_certificate(
+            lambda t: calls.append(t.size) or fn(t), *args, **kw))
+        cert = select_delta(law, 0.0, 0.5).certificate
+        assert len(calls) >= 1
+        assert config.CERTIFICATE_FLOOR < cert.lower_bound <= cert.min_modulus
+        # without subdivision the same grid proves nothing for it
+        monkeypatch.setattr(charfn, "FLOOR_LEVELS", 0)
+        with pytest.raises(SelectionUnverifiableError):
+            select_delta(law, 0.0, 0.5)
+
+    def test_cell_cap_stops_without_an_exception(self, uniform01):
+        # at step 3 the curvature allowance swamps |f| on most of the 1000
+        # cells, more than the cap of 125: no subdivision, no proof
+        f = CharFn(uniform01)
+        calls = []
+        cert = chord_certificate(lambda t: calls.append(t.size) or f(t), 3.0, 1001,
+                                 uniform01, f.allowance(3000.0),
+                                 values=lambda lo, hi: f(3.0 * np.arange(lo, hi)))
+        assert calls == []
+        assert cert.lower_bound <= config.CERTIFICATE_FLOOR
+        assert cert.min_modulus > 0.0 and cert.window_T == 3000.0
+
+    def test_blocks_do_not_change_the_certificate(self, monkeypatch):
+        # the grid is read in blocks of BLOCK_ENTRIES // 16 cells; blocks of
+        # 7 cells give the same certificate, and a cap crossed in a later
+        # block still leaves the bound at or below the floor
+        law = uniform_density(0.0, 1.0, cells=64)
+        f = CharFn(law)
+        whole = [chord_certificate(f, step, 4001, law, f.allowance(4000 * step))
+                 for step in (0.05, 3.0)]
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 16 * 7)
+        blocked = [chord_certificate(f, step, 4001, law, f.allowance(4000 * step))
+                   for step in (0.05, 3.0)]
+        assert blocked == whole
+        assert blocked[1].lower_bound <= config.CERTIFICATE_FLOOR
+
+    def test_zero_of_the_mixture_is_not_proved(self):
+        # at the bad weight itself the mixture vanishes: every level of
+        # subdivision leaves the cell at the zero open
+        law = skew_uniform_mixture()
+        f0 = CharFn(law)
+        step = _root_scan_step(law, 0.0)
+        delta = bad_delta_set(f0, 0.0, 2.0 * math.pi, step)[0]
+        mixture = mix(delta, point_mass(0.0), law)
+        f = CharFn(mixture)
+        cert = chord_certificate(f, step, 200, mixture, f.allowance(199 * step))
+        assert cert.lower_bound <= 0.0 < cert.min_modulus
+
+    def test_density_selection_reads_one_grid_and_never_polishes(self, monkeypatch, uniform01):
+        grids, polishes = [], []
+        eval_grid = CharFn.eval_grid
+        monkeypatch.setattr(CharFn, "eval_grid",
+                            lambda self, *args: grids.append(args) or eval_grid(self, *args))
+        monkeypatch.setattr(charfn, "parabolic_polish",
+                            lambda *args: polishes.append(args) or pytest.fail("polished"))
+        for law in (uniform01, skew_uniform_mixture()):
+            grids.clear()
+            sel = select_delta(law, 0.0, 0.05)
+            assert len(grids) == 1
+            assert sel.certificate.lower_bound > config.CERTIFICATE_FLOOR
+        assert polishes == []
+
+    def test_sparse_lattice_is_proved_over_half_a_period(self):
+        # 201 coefficients for 3 atoms: the atoms stay on the dense path
+        law = law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])
+        res = approximate_lattice(law, 0.05)
+        assert not CharFn(res.approximant).is_lattice_table
+        cert = res.certificate
+        assert cert.window_T >= math.pi
+        assert config.CERTIFICATE_FLOOR < cert.lower_bound <= cert.min_modulus
+        ts = np.linspace(-math.pi, math.pi, 200_001)
+        assert cert.lower_bound <= float(np.min(np.abs(direct_cf(res.approximant, ts))))
+
+    def test_result_needs_a_proof(self, skewed_two_atom):
+        res = approximate_lattice(skewed_two_atom, 0.05)
+        sampled = replace(res.certificate, lower_bound=None)
+        with pytest.raises(PipelineError):
+            replace(res, certificate=sampled)
