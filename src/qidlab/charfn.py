@@ -23,14 +23,16 @@ dense exp(itx) product.
 The same rows prove a floor: on the cell around each node the Taylor
 polynomial, less its first-order part, moves |P| by at most the sum of
 its higher coefficients, so lattice_certificate bounds |f| of a pure
-lattice law from table reads and a few subdivided cells, with no grid
-scan. Every other law is proved from CF values on a uniform grid by
-chord_certificate: e^{-it*mu} f, mu the mean, has second derivative at
-most the variance V, so on a cell of width h it stays within (h^2/8) V
-of its chord, and cells whose bound is at or below the floor are
-bisected. CharFn.allowance bounds the rounding of every computed value,
-so both are proofs; min_modulus_scan, a sampled minimum with
-parabolic polish, serves only explicit scans (check-zero-free).
+lattice law on the table from table reads and a few subdivided cells,
+with no grid scan. Every other law, a lattice off the table included,
+is proved from CF values on a uniform grid by chord_certificate:
+e^{-it*mu} f, mu the mean, has second derivative at most the variance
+V, so on a cell of width h it stays within (h^2/8) V of its chord, and
+cells whose bound is at or below the floor are bisected.
+CharFn.allowance bounds the rounding of every computed value, so both
+are proofs. min_modulus_scan, a sampled minimum with parabolic polish
+read in blocks of the grid, serves check-zero-free and the rational
+floor of impossibility.one_period_floor.
 
 The log branch of a lattice polynomial P(theta) = sum_k c_k e^{ik*theta}
 (_track_branch, which spectral extraction reads) is one inverse FFT of
@@ -141,8 +143,8 @@ class CharFn:
 
     @property
     def is_lattice_table(self) -> bool:
-        """A pure lattice law summed by the Taylor table, so that
-        lattice_certificate applies."""
+        """A pure lattice law summed by the Taylor table, whose floor
+        lattice_certificate reads."""
         return self._nodes is None and self._lattice is not None
 
     @property
@@ -302,32 +304,44 @@ def parabolic_polish(fn, a, b, c, fa, fb, fc) -> tuple[np.ndarray, np.ndarray]:
     return x[:, 1], y[:, 1]
 
 
-def min_modulus_scan(f: CharFn, T: float, step: float) -> ZeroFreeCertificate:
-    """Scan |f| on a uniform grid over [-T, T] and polish the
-    config.REFINE_TOP lowest local minima together by parabolic_polish
-    (one CF call per round for all of them, from the grid moduli).
-    The certificate records the smallest modulus seen, grid or
-    polished, and where; it is never above the grid minimum.
-
-    Characteristic functions of real laws satisfy f(-t) = conj(f(t)),
-    so the grid work runs on [0, T] and covers the stated window.
+def min_modulus_scan(f, T: float, step: float) -> ZeroFreeCertificate:
+    """Scan |f| on the grid step*k, 0 <= k <= ceil(T/step), and polish
+    the config.REFINE_TOP lowest local minima together by
+    parabolic_polish (one call of f per round, from the grid moduli). f
+    is a CharFn or any callable of an array of t with f(-t) = conj f(t),
+    so the window is [-T, T]. The grid is read in blocks of
+    BLOCK_ENTRIES // 16 points, each with one neighbour on either side,
+    so memory stays bounded; ties go to the lower index. The certificate
+    records the least modulus seen, grid or polished, and where: a
+    sample, never above the grid minimum, and no proof.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
     if not math.isfinite(T / step):
         raise InputError(f"window {T:g} over step {step:g} is not a finite point count")
     n = int(math.ceil(T / step))
-    ts = step * np.arange(n + 1)
-    mods = np.abs(f.eval_grid(0.0, step, n + 1))
-    i_min = int(np.argmin(mods))
-    best_t, best_v = float(ts[i_min]), float(mods[i_min])
-    interior = np.arange(1, ts.size - 1)
-    is_loc = (mods[interior] <= mods[interior - 1]) & (mods[interior] <= mods[interior + 1])
-    cand = interior[is_loc]
-    cand = cand[np.argsort(mods[cand])][:config.REFINE_TOP]
+    best_v, best_t = math.inf, 0.0
+    # kept local minima: grid index and the moduli at k - 1, k, k + 1
+    cand, near = np.empty(0, dtype=np.int64), np.empty((0, 3))
+    rows = BLOCK_ENTRIES // 16
+    for k0 in range(0, n + 1, rows):
+        lo = max(k0 - 1, 0)
+        ks = np.arange(lo, min(k0 + rows + 1, n + 1))
+        mods = np.abs(f(step * ks))
+        own = mods[k0 - lo:k0 - lo + rows]
+        i = int(np.argmin(own))
+        if own[i] < best_v:
+            best_v, best_t = float(own[i]), float(step * ks[k0 - lo + i])
+        a, b = max(1, k0) - lo, min(k0 + rows, n) - lo
+        mid = mods[a:b]
+        j = a + np.flatnonzero((mid <= mods[a - 1:b - 1]) & (mid <= mods[a + 1:b + 1]))
+        cand = np.concatenate((cand, ks[j]))
+        near = np.concatenate((near, np.column_stack((mods[j - 1], mods[j], mods[j + 1]))))
+        top = np.argsort(near[:, 1], kind="stable")[:config.REFINE_TOP]
+        cand, near = cand[top], near[top]
     if cand.size:
-        t_r, v_r = parabolic_polish(lambda t: np.abs(f(t)), ts[cand - 1], ts[cand], ts[cand + 1],
-                                    mods[cand - 1], mods[cand], mods[cand + 1])
+        t_r, v_r = parabolic_polish(lambda t: np.abs(f(t)), step * (cand - 1), step * cand,
+                                    step * (cand + 1), *near.T)
         k = int(np.argmin(v_r))
         if v_r[k] < best_v:
             best_t, best_v = float(t_r[k]), float(v_r[k])
@@ -346,19 +360,26 @@ def _lattice_misfit(disc: DiscreteLaw) -> float:
 
 
 def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
-    """Proven certificate of a pure lattice law on a + b*Z from its
-    Taylor table (TaylorTable.floor, subdividing cells bounded at or
-    below config.CERTIFICATE_FLOOR): window 2*pi/b, one period of
-    |f|, and step 2*pi/(b*N) over the table's N nodes; min_modulus is
-    the least modulus evaluated there, argmin_t its |t| folded into
-    [0, pi/b]. The table sums the masses at a + b*k, within
-    _LATTICE_FIT_ULPS of the atoms, and a misfit of d moves |f| by at
-    most |t|*d, so window_T times _lattice_misfit comes off
-    lower_bound. A point mass (b = 0) has |f| = 1 everywhere and takes
-    the window of b = 1.
+    """Proven certificate of a pure lattice law on a + b*Z. Off the
+    Taylor table it is chord_certificate over [0, pi/b], rounded up to
+    the grid, at step pi/(8*width), width the support width: |f| is even
+    and 2*pi/b-periodic, so half a period covers all of it. On the table
+    it is TaylorTable.floor, subdividing cells bounded at or below
+    config.CERTIFICATE_FLOOR: window 2*pi/b, one period of |f|, and
+    step 2*pi/(b*N) over the table's N nodes; min_modulus is the least
+    modulus evaluated there, argmin_t its |t| folded into [0, pi/b]. The
+    table sums the masses at a + b*k, within _LATTICE_FIT_ULPS of the
+    atoms, and a misfit of d moves |f| by at most |t|*d, so window_T
+    times _lattice_misfit comes off lower_bound. A point mass (b = 0)
+    has |f| = 1 everywhere and takes the window of b = 1.
     """
     if not f.is_lattice_table:
-        raise LawShapeError("lattice_certificate needs a pure lattice law on the Taylor-table path")
+        disc = f.law.discrete
+        if not f.law.is_pure_discrete or disc.locations.size < 2:
+            raise LawShapeError("lattice_certificate needs a pure lattice law")
+        step = math.pi / (8.0 * float(disc.locations[-1] - disc.locations[0]))
+        n = math.ceil(math.pi / disc.lattice_params()[1] / step) + 1
+        return chord_certificate(f, step, n, f.law, f.allowance(step * (n - 1)))
     b = f._lattice[1]
     table = f._atom_table
     lower, least, theta = table.floor(config.CERTIFICATE_FLOOR)
@@ -471,23 +492,6 @@ def chord_certificate(fn, step: float, n: int, law: Law, allowance: float, value
         lower = min(lower, float(b.min()))
     return ZeroFreeCertificate(window_T=T, grid_step=step, min_modulus=least, argmin_t=at,
                                tail_bound=tail_bound, lower_bound=lower)
-
-
-def half_period_certificate(f: CharFn) -> ZeroFreeCertificate:
-    """Proven certificate of a pure law on a lattice a + b*Z of two or
-    more atoms, for atoms the Taylor table does not take:
-    chord_certificate over [0, pi/b], rounded up to the grid, at step
-    pi/(8*width), width the support width (8 steps per half-turn of the
-    fastest phase). |f| of a lattice law is even and 2*pi/b-periodic,
-    so half a period covers all of it.
-    """
-    disc = f.law.discrete
-    if not f.law.is_pure_discrete or disc.locations.size < 2:
-        raise LawShapeError("half_period_certificate needs a pure lattice law of two or more atoms")
-    b = disc.lattice_params()[1]
-    step = math.pi / (8.0 * float(disc.locations[-1] - disc.locations[0]))
-    n = math.ceil(math.pi / b / step) + 1
-    return chord_certificate(f, step, n, f.law, f.allowance(step * (n - 1)))
 
 
 def decay_window(f: CharFn, threshold: float) -> float:

@@ -317,37 +317,33 @@ def continuous_bernoulli(q: float, tau: float, side: str,
 # Support geometry
 
 
-def support_info(F: Law, mass_tol: float = 0.0) -> SupportInfo:
-    """Support bounds at node resolution.
-
-    Atoms with weighted mass <= mass_tol and density nodes with weighted
-    node mass <= mass_tol are ignored; the default 0 reports the literal
-    support of the representation.
-    """
-    if mass_tol < 0:
-        raise InputError("mass_tol must be nonnegative")
+def support_info(F: Law) -> SupportInfo:
+    """Support bounds at node resolution: the atoms and density nodes
+    of positive weighted mass."""
     lo, hi = math.inf, -math.inf
     w = F.discrete_weight
     if F.discrete is not None:
-        keep = w * F.discrete.masses > mass_tol
+        keep = w * F.discrete.masses > 0.0
         if np.any(keep):
             locs = F.discrete.locations[keep]
             lo, hi = min(lo, float(locs.min())), max(hi, float(locs.max()))
     if F.continuous is not None:
         d = F.continuous
         node_mass = (1.0 - w) * d.grid_step * d.samples
-        idx = np.nonzero(node_mass > mass_tol)[0]
+        idx = np.nonzero(node_mass > 0.0)[0]
         if idx.size:
             nodes = d.nodes
             lo = min(lo, float(nodes[idx[0]]))
             hi = max(hi, float(nodes[idx[-1]]))
     if not math.isfinite(lo) or not math.isfinite(hi):
-        raise LawShapeError("empty support at this mass tolerance")
+        raise LawShapeError("empty support")
     return SupportInfo(lo, hi, 0.5 * (lo + hi))
 
 
-def is_shift_symmetric(F: Law, tol: float = config.SHIFT_SYMMETRY_TOL) -> bool:
-    """True when F reflected about its support center equals F within tol."""
+def is_shift_symmetric(F: Law) -> bool:
+    """True when F reflected about its support center equals F within
+    config.SHIFT_SYMMETRY_TOL."""
+    tol = config.SHIFT_SYMMETRY_TOL
     info = support_info(F)
     c = info.cext
     width = max(info.rext - info.lext, 1.0)

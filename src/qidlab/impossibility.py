@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charfn import parabolic_polish
+from .charfn import min_modulus_scan, parabolic_polish
 from .errors import InputError
 
 _CHUNK = 1 << 20
@@ -132,13 +132,13 @@ def _check_points(n: int) -> None:
                          f"{MAX_GRID_POINTS:.0e}; use a coarser step or a shorter window")
 
 
-def _grid_min(alpha: float, ts_at, lo: int, hi: int) -> tuple[float, float]:
-    """First smallest |three_point_cf(alpha, t)| over t = ts_at(k) for
+def _grid_min(alpha: float, step: float, lo: int, hi: int) -> tuple[float, float]:
+    """First smallest |three_point_cf(alpha, t)| over t = step*k for
     lo <= k < hi, scanned in blocks of _CHUNK; returns (inf, 0) if the
     range is empty."""
     best_v, best_t = math.inf, 0.0
     for a in range(lo, hi, _CHUNK):
-        ts = ts_at(np.arange(a, min(a + _CHUNK, hi)))
+        ts = step * np.arange(a, min(a + _CHUNK, hi))
         mods = np.abs(three_point_cf(alpha, ts))
         k = int(np.argmin(mods))
         if float(mods[k]) < best_v:
@@ -203,7 +203,7 @@ def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
     lo_idx = 0
     for T in ladder:
         hi_idx = int(math.floor(T / step)) + 1
-        v, t = _grid_min(alpha, lambda k: step * k, lo_idx, hi_idx)
+        v, t = _grid_min(alpha, step, lo_idx, hi_idx)
         if v < running_val:
             running_val, running_arg = _polish_keep(alpha, v, t, step)
         lo_idx = hi_idx
@@ -222,9 +222,10 @@ def rational_cf_period(frac: Fraction) -> float:
 
 
 def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
-    """Exhaustive scan of |three_point_cf| over one period for rational
-    alpha; returns (min, argmin). This is the floor the window ladder
-    stabilizes at: strictly positive unless 3 divides p + q, when the
+    """Least |three_point_cf| over one period for rational alpha, from
+    min_modulus_scan on n = ceil(period/step) cells; returns (min,
+    argmin). This is the floor the window ladder stabilizes at, a
+    polished sample: strictly positive unless 3 divides p + q, when the
     CF has real zeros and the floor is 0 up to rounding."""
     if not (step > 0 and math.isfinite(step)):
         raise InputError("step must be positive and finite")
@@ -232,8 +233,8 @@ def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     alpha = float(frac)
     n = int(math.ceil(period / step))
     _check_points(n + 1)
-    best_v, best_t = _grid_min(alpha, lambda k: period * k / n, 0, n + 1)
-    return _polish_keep(alpha, best_v, best_t, period / n)
+    cert = min_modulus_scan(lambda t: three_point_cf(alpha, t), period, period / n)
+    return cert.min_modulus, cert.argmin_t
 
 
 def parse_alpha(text: str) -> tuple[float, Fraction | None]:

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .charfn import CharFn, ZeroFreeCertificate, half_period_certificate, lattice_certificate
+from .charfn import CharFn, ZeroFreeCertificate, lattice_certificate
 from .dist import (DiscreteLaw, Law, continuous_bernoulli, convolve,
                    mass_on_interval, mix, point_mass, restrict_density,
                    support_info, tv_distance)
@@ -295,8 +295,7 @@ def approximate_mixture(F: Law, eps: float, q: float = 0.4, tau: float = 0.5,
     floor = (tau_mix - delta) / (delta + c_d - delta * c_d)
     if not (floor > 0):
         raise PipelineError("discrete-part lower bound is not positive")
-    f_d = CharFn(Law(1.0, out.discrete, None))
-    cert_d = lattice_certificate(f_d) if f_d.is_lattice_table else half_period_certificate(f_d)
+    cert_d = lattice_certificate(CharFn(Law(1.0, out.discrete, None)))
     if cert_d.min_modulus < floor - 1e-12:
         raise PipelineError("mixed discrete part dips below its guaranteed floor")
     params = {"r_eps": r_eps, "c_eps": c_eps, "gamma_eps": gamma2,

@@ -5,10 +5,10 @@ certificate.
 Zeros can only occur where Im(f0(t)e^{-it*gamma0}) vanishes, and there
 only at one specific delta per root; the selector enumerates those bad
 weights on a window, picks the candidate farthest from all of them and
-certifies the resulting mixture: a pure lattice mixture on the Taylor
-table by the proven floor of lattice_certificate, any other by
-chord_certificate from the same CF grid of f0 that the root scan read,
-so f0 is evaluated on one grid per selection.
+certifies the resulting mixture: a pure lattice mixture by
+lattice_certificate, any other by chord_certificate from the same CF
+grid of f0 that the root scan read, so f0 is evaluated on one grid per
+selection.
 """
 
 from __future__ import annotations
@@ -170,15 +170,14 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     maximizing the distance to the bad weights.
 
     F0's CF is evaluated once, on the root-scan grid of bad_delta_set.
-    A candidate whose mixture is a pure lattice law on the Taylor table
-    is certified by lattice_certificate; any other by chord_certificate
-    from delta*e^{it*gamma0} + (1-delta)*f0 on that grid, over
-    _scan_window(delta), or over half a period when F0 is a lattice law
-    with gamma0 on it. The grid is extended only when that window
-    reaches past it, and a window of more than 4*BLOCK_ENTRIES grid
-    points (64 MiB of values) rejects the candidate. A candidate is accepted when its lower_bound
-    exceeds CERTIFICATE_FLOOR; SelectionUnverifiableError is raised when
-    none is.
+    A candidate whose mixture is a pure lattice law, on the Taylor table
+    or with gamma0 on F0's lattice, is certified by lattice_certificate;
+    any other by chord_certificate from delta*e^{it*gamma0} + (1-delta)*f0
+    on that grid, over _scan_window(delta). The grid is extended only
+    when that window reaches past it, and a window of more than
+    4*BLOCK_ENTRIES grid points (64 MiB of values) rejects the candidate.
+    A candidate is accepted when its lower_bound exceeds
+    CERTIFICATE_FLOOR; SelectionUnverifiableError is raised when none is.
     """
     if not (0.0 < tau <= 1.0):
         raise InputError(f"tau must be in (0, 1], got {tau}")
@@ -201,10 +200,10 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
             continue
         mixture = mix(delta, point_mass(gamma0), F0)
         f = CharFn(mixture)
-        if f.is_lattice_table:
+        if f.is_lattice_table or period is not None:
             cert = lattice_certificate(f)
         else:
-            T, tail = (0.5 * period, None) if period is not None else _scan_window(f0, delta)
+            T, tail = _scan_window(f0, delta)
             n = int(math.ceil(T / step)) + 1
             if n > 4 * BLOCK_ENTRIES:
                 continue

@@ -230,6 +230,25 @@ class TestMinModulusScan:
             grid = np.abs(f.eval_grid(0.0, 0.03, int(math.ceil(12.0 / 0.03)) + 1))
             assert cert.min_modulus <= grid.min()
 
+    @pytest.mark.parametrize("case", ["lattice_periods", "double_zero"])
+    def test_blocks_do_not_change_the_certificate(self, case, monkeypatch):
+        # the grid is read in blocks of BLOCK_ENTRIES // 16 points: blocks of
+        # 7 give the same certificate, where minima repeat every period
+        # (ties across seams) and at the flat minima of a double zero
+        if case == "lattice_periods":
+            law, T, step = heavy_lattice_law(), 3.0 * 2.0 * math.pi / 1.1, 2.0 * math.pi / 1.1 / 512
+        else:
+            law, T, step = law_from_atoms([(0.0, 0.25), (1.0, 0.5), (2.0, 0.25)]), 20.0, 0.03
+        f = CharFn(law)
+        whole = min_modulus_scan(f, T, step)
+        sizes = []
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 16 * 7)
+        blocked = min_modulus_scan(lambda t: sizes.append(np.size(t)) or f(t), T, step)
+        assert blocked == whole
+        # grid blocks of 7 points and a neighbour on each side, then polish
+        # rounds of three points per bracket
+        assert max(sizes) <= 3 * config.REFINE_TOP < T / step
+
 
 def eight_cell_polish(fn, a, b, c):
     """Oracle for parabolic_polish: multi-section search. Each step

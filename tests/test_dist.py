@@ -127,11 +127,6 @@ class TestSupport:
         assert info.rext == pytest.approx(1.0, abs=1e-12)
         assert info.cext == pytest.approx(0.5, abs=1e-12)
 
-    def test_mass_tol_trims_small_atoms(self):
-        law = law_from_atoms([(0.0, 1e-6), (1.0, 0.5), (2.0, 0.5 - 1e-6)])
-        info = support_info(law, mass_tol=1e-5)
-        assert info.lext == 1.0
-
 
 class TestShiftSymmetry:
     def test_fair_is_symmetric(self, fair_bernoulli):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qidlab import impossibility
+from qidlab import charfn, impossibility
 from qidlab.errors import InputError
 from qidlab.impossibility import (InfScanReport, inf_scan, kutlu_phi, kutlu_zero_scan,
                                   one_period_floor, parse_alpha, rational_cf_period,
@@ -160,6 +160,13 @@ class TestInfScan:
         for _, m, _ in rep.minima:
             assert m == pytest.approx(floor, rel=1e-6)
 
+    def test_floor_finds_the_dip_off_the_grid_minimum(self):
+        # the grid minimum at step 0.01 sits at t = 1038.8 (|f| = 2.114e-3);
+        # the least modulus of the period is at t = 519.41
+        floor, t = one_period_floor(Fraction(660, 349), 0.01)
+        assert floor <= 1.0573e-3
+        assert abs(abs(three_point_cf(660 / 349, t)) - floor) <= 1e-12
+
     def test_floor_vanishes_when_three_divides_p_plus_q(self):
         # the line (t, alpha*t) meets a zero of phi exactly when 3 | p + q
         assert one_period_floor(Fraction(4, 5), 0.01)[0] < 1e-9
@@ -170,6 +177,7 @@ class TestInfScan:
         scan = inf_scan(SQRT2, [10.0, 100.0], 0.01)
         floor = one_period_floor(Fraction(3, 2), 0.01)
         monkeypatch.setattr(impossibility, "_CHUNK", 7)
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 16 * 7)
         assert inf_scan(SQRT2, [10.0, 100.0], 0.01) == scan
         assert one_period_floor(Fraction(3, 2), 0.01) == floor
         # |f| = 1 + (4t mod 5) on the grid t = k/4 ties at k = 0, 5, 10, ...:

@@ -285,9 +285,16 @@ class TestLatticeCertificate:
         table_lower = CharFn(law)._atom_table.floor(config.CERTIFICATE_FLOOR)[0]
         assert cert.lower_bound <= table_lower - cert.window_T * misfit
 
-    def test_needs_the_table_path(self, uniform01, skewed_two_atom):
-        for law in (uniform01, mix(0.5, skewed_two_atom, uniform01),
-                    law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])):
+    def test_sparse_lattice_off_the_table(self, uniform01, skewed_two_atom):
+        # 201 coefficients for 3 atoms: off the table, proved by the chord
+        # over half a period, which covers all of |f|
+        law = law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])
+        f = CharFn(law)
+        assert not f.is_lattice_table
+        cert = lattice_certificate(f)
+        ts = np.linspace(0.0, 2.0 * math.pi, 200_001)
+        assert 0.0 < cert.lower_bound <= float(np.min(np.abs(direct_cf(law, ts))))
+        for law in (uniform01, mix(0.5, skewed_two_atom, uniform01)):
             with pytest.raises(LawShapeError):
                 lattice_certificate(CharFn(law))
 
