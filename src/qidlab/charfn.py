@@ -570,7 +570,8 @@ def bracket_roots(fn, a, b, fa, fb) -> np.ndarray:
 
 
 def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
-                   values: np.ndarray | None = None) -> list[float]:
+                   values: np.ndarray | None = None,
+                   re_window: tuple[float, float] | None = None) -> list[float]:
     """Refined roots of Im(f0(t) e^{-it*gamma0}) in [-T, T].
 
     values, when given, holds f0 on step*arange(m) for some
@@ -587,6 +588,15 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
     the grid scale. Raises IdenticallyZeroImagError when the imaginary
     part vanishes on the whole grid (recentered symmetric law), since
     every t would be a root.
+
+    re_window = (lo, hi), when given, drops before the polish every
+    bracket on which Re f1, f1(t) = f0(t) e^{-it*gamma0}, provably stays
+    at or below lo or at or above hi: |d^2/dt^2 Re f1| <= E(X - gamma0)^2
+    = V + (mu - gamma0)^2 (_centred_moments), so on a cell of width step
+    Re f1, exact or computed, stays within
+    (step^2/8)(V + (mu - gamma0)^2) + 2 (f0.allowance(T') + (|gamma0| T' + 16) u)
+    of the chord of its computed end values, T' the last grid point.
+    Roots on grid nodes are kept whatever their Re f1.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")
@@ -597,7 +607,8 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
         values = f0.eval_grid(0.0, step, n + 1)
     elif values.size < n + 1:
         raise InputError(f"{values.size} grid values do not cover {n + 1} scan points")
-    vals = np.imag(values[:n + 1] * np.exp(-1j * gamma0 * ts))
+    f1 = values[:n + 1] * np.exp(-1j * gamma0 * ts)
+    vals = f1.imag
     scale = float(np.max(np.abs(vals)))
     if scale < 1e-12:
         raise IdenticallyZeroImagError(
@@ -609,6 +620,14 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
     sign[np.abs(vals) <= zero_tol] = 0
     roots = ts[sign == 0].tolist()
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if re_window is not None and idx.size:
+        mu, V = _centred_moments(f0.law)
+        t_end = float(ts[-1])
+        e = (0.125 * step * step * (V + (mu - gamma0) ** 2)
+             + 2.0 * (f0.allowance(t_end) + (abs(gamma0) * t_end + 16.0) * _U))
+        re = f1.real
+        lo, hi = np.minimum(re[idx], re[idx + 1]) - e, np.maximum(re[idx], re[idx + 1]) + e
+        idx = idx[(hi > re_window[0]) & (lo < re_window[1])]
     if idx.size:
         r = bracket_roots(g, ts[idx], ts[idx + 1], vals[idx], vals[idx + 1])
         roots.extend(r[np.abs(g(r)) <= 1e-7 * scale].tolist())

@@ -113,23 +113,25 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     theta = 2.0 * math.pi * np.arange(n) / n
     coeff = np.fft.fft(np.log(vals[0]) + branch - steps_log - 1j * winding * theta) / n
     idx = np.r_[-K:0, 1:K + 1]
-    atoms = tuple((int(k), float(lam)) for k, lam in zip(idx, coeff[idx].real)
-                  if abs(lam) > PRUNE_TOL)
+    lams = coeff[idx].real
+    keep = np.abs(lams) > PRUNE_TOL
+    ks, lams = idx[keep], lams[keep]
     tail = math.fsum(np.abs(coeff[K + 1:n - K].real))
     return SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
-                        signed_atoms=atoms, truncation_K=K,
-                        residual=_fft_residual(c, atoms, winding, 4 * n_nodes), tail_mass=tail)
+                        signed_atoms=tuple(zip(ks.tolist(), lams.tolist())), truncation_K=K,
+                        residual=_fft_residual(c, ks, lams, winding, 4 * n_nodes),
+                        tail_mass=tail)
 
 
-def _fft_residual(c: np.ndarray, atoms, winding: int, m: int) -> float:
+def _fft_residual(c: np.ndarray, ks: np.ndarray, lams: np.ndarray, winding: int,
+                  m: int) -> float:
     """pair_roundtrip_error on the m nodes t_j = j*period/m: there
     |f - reconstruction| = |P(theta_j) - exp(i*winding*theta_j + sum_k
     lambda_k (e^{ik*theta_j} - 1))|, theta_j = 2*pi*j/m, and both sums
-    are inverse FFTs of coefficients folded modulo m."""
+    are inverse FFTs of coefficients folded modulo m; ks and lams are
+    the indices and weights of the pair's signed atoms."""
     p_vals = np.fft.ifft(np.bincount(np.arange(c.size) % m, weights=c, minlength=m),
                          norm="forward")
-    ks = np.array([k for k, _ in atoms], dtype=np.int64)
-    lams = np.array([lam for _, lam in atoms], dtype=float)
     sums = np.fft.ifft(np.bincount(ks % m, weights=lams, minlength=m), norm="forward")
     theta = 2.0 * math.pi * np.arange(m) / m
     recon = np.exp(1j * winding * theta + (sums - math.fsum(lams)))

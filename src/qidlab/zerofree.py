@@ -5,7 +5,18 @@ certificate.
 Zeros can only occur where Im(f0(t)e^{-it*gamma0}) vanishes, and there
 only at one specific delta per root; the selector enumerates those bad
 weights on a window, picks the candidate farthest from all of them and
-certifies the resulting mixture: a pure lattice mixture by
+certifies the resulting mixture.
+
+Only bad weights below tau' = tau + DELTA_SEPARATION can change that
+choice. The weight of a root t' is below tau' exactly when
+Re f1(t') > -tau'/(1 - tau'), f1 = f0 e^{-it*gamma0}, and
+|d^2/dt^2 Re f1| <= E(X - gamma0)^2 bounds Re f1 on each root-scan cell
+of width h to within (h^2/8) E(X - gamma0)^2, plus rounding, of the
+chord of its end values. A root bracket whose bound keeps Re f1 at or
+below -tau'/(1 - tau'), or at or above 0, is therefore neither polished
+nor recorded.
+
+The chosen mixture is certified: a pure lattice mixture by
 lattice_certificate, any other by chord_certificate from the same CF
 grid of f0 that the root scan read, so f0 is evaluated on one grid per
 selection.
@@ -30,7 +41,9 @@ from .errors import InputError, SelectionUnverifiableError
 class DeltaSelection:
     """Chosen mixing weight with the bad weights it avoids, the mixed law
     delta*point_mass(gamma0) + (1-delta)*F0 and the certificate of its
-    characteristic function."""
+    characteristic function. bad_deltas holds the bad weights below
+    tau + DELTA_SEPARATION, the only ones the choice reads; those at or
+    above it are neither polished nor recorded (bad_delta_set)."""
 
     delta: float
     bad_deltas: tuple[float, ...]
@@ -87,13 +100,19 @@ def _root_scan_step(F0: Law, gamma0: float) -> float:
 
 
 def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float,
-                  values: np.ndarray | None = None) -> list[float]:
-    """Mixing weights delta' at which the mixture CF can vanish.
+                  values: np.ndarray | None = None, tau: float = 1.0) -> list[float]:
+    """Mixing weights delta' in (0, tau) at which the mixture CF can vanish.
 
     At every root t' of Im(f1) with f1(t) = f0(t)e^{-it*gamma0} and
     Re f1(t') < 0, the weight delta' = -Re f1(t') / (1 - Re f1(t'))
     (always in (0,1)) is the unique one killing the mixture at t'.
-    Returns the deduplicated sorted list over roots found in [-T, T].
+    Returns the deduplicated sorted list over roots found in [-T, T],
+    less the weights at or above tau. delta' < tau exactly when
+    Re f1(t') > -tau/(1 - tau), so imag_zero_scan skips every root
+    bracket on which its bound on Re f1 (E(X - gamma0)^2 times step^2/8
+    from the chord of the grid values, plus rounding) stays at or below
+    -tau/(1 - tau) or at or above 0; the default tau = 1 keeps every
+    weight.
 
     Roots giving the same weight are folded onto one first: t and -t,
     as f1(-t) = conj f1(t), and for a pure lattice law on a + b*Z with
@@ -111,13 +130,14 @@ def bad_delta_set(f0: CharFn, gamma0: float, T: float, step: float,
     period = _fold_period(law, gamma0)
     if period is not None:
         T = min(T, 0.5 * period + step)
-    roots = np.abs(imag_zero_scan(f0, gamma0, T, step, values))
+    re_floor = -tau / (1.0 - tau) if tau < 1.0 else -math.inf
+    roots = np.abs(imag_zero_scan(f0, gamma0, T, step, values, (re_floor, 0.0)))
     if period is not None:
         roots = np.minimum(roots % period, period - roots % period)
     roots = np.array(_merge_close(roots))
     re = (f0(roots) * np.exp(-1j * gamma0 * roots)).real
     re = re[re < -1e-15]
-    return _merge_close((-re / (1.0 - re)).tolist(), 1e-12)
+    return [d for d in _merge_close((-re / (1.0 - re)).tolist(), 1e-12) if d < tau]
 
 
 def _fold_period(law: Law, gamma0: float) -> float | None:
@@ -169,7 +189,11 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     """Pick delta in (0, tau) keeping the mixture CF zero-free,
     maximizing the distance to the bad weights.
 
-    F0's CF is evaluated once, on the root-scan grid of bad_delta_set.
+    F0's CF is evaluated once, on the root-scan grid of bad_delta_set,
+    which collects only the bad weights below tau + DELTA_SEPARATION,
+    those that the candidate ladder and the separation test read: a
+    root bracket whose Re f1 bound keeps its weight at or above that is
+    neither polished nor recorded.
     A candidate whose mixture is a pure lattice law, on the Taylor table
     or with gamma0 on F0's lattice, is certified by lattice_certificate;
     any other by chord_certificate from delta*e^{it*gamma0} + (1-delta)*f0
@@ -188,7 +212,7 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     if period is not None:
         T0 = min(T0, 0.5 * period + step)
     grid = f0.eval_grid(0.0, step, int(math.ceil(T0 / step)) + 1)
-    bad = bad_delta_set(f0, gamma0, T0, step, grid)
+    bad = bad_delta_set(f0, gamma0, T0, step, grid, tau + config.DELTA_SEPARATION)
     if f0.is_lattice_table:
         # lattice candidates are certified on their own tables; a fresh
         # CharFn builds F0's table again only if some candidate needs f0,

@@ -10,9 +10,9 @@ from qidlab.dist import (Law, density_from_callable, law_from_atoms, law_from_de
                          point_mass, support_info, uniform_density)
 from qidlab.errors import (InputError, LawShapeError, PipelineError,
                            SelectionUnverifiableError)
-from qidlab.pipelines import approximate_lattice
+from qidlab.pipelines import approximate_abs_cont, approximate_lattice, approximate_mixture
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
-from conftest import heavy_lattice_law
+from conftest import case_1b_law, heavy_lattice_law
 
 
 def scalar_bracket_root(g, a, b, fa, fb):
@@ -213,6 +213,131 @@ class TestSelectDelta:
             select_delta(skewed_two_atom, 0.0, 1.5)
         with pytest.raises(InputError):
             select_delta(skewed_two_atom, 0.0, 0.0)
+
+
+def bench_density(kind, lo=-0.3, width=1.1):
+    """256-cell density of a benchmark shape on [lo, lo + width]."""
+    if kind == "uniform":
+        fn = np.ones_like
+    elif kind == "tnormal":
+        fn = lambda x: np.exp(-0.5 * ((x - lo - 0.45 * width) / (0.25 * width)) ** 2)
+    else:
+        fn = lambda x: 0.05 + sum(h * np.exp(-0.5 * ((x - lo - c * width) / (w * width)) ** 2)
+                                  for c, w, h in ((0.2, 0.08, 1.0), (0.5, 0.12, 0.6),
+                                                  (0.8, 0.1, 1.3)))
+    return density_from_callable(fn, lo, lo + width, cells=256)
+
+
+def bench_mixture(case, kind):
+    """Mixture of the benchmark's case 1a (one atom off the centre), 1b
+    (one atom on the centre node) or 2 (a lattice of four atoms), weight
+    0.3 on the atoms."""
+    dens = bench_density(kind)
+    d = dens.continuous
+    first, last = float(d.nodes[1]), float(d.nodes[-2])
+    if case == "1a":
+        atoms = law_from_atoms([(first + 0.2 * (last - first), 1.0)])
+    elif case == "1b":
+        atoms = point_mass(float(d.nodes[(d.nodes.size - 1) // 2]))
+    else:
+        atoms = law_from_atoms([(first + 0.1 + 0.3 * k, m)
+                                for k, m in enumerate((0.7, 0.1, 0.1, 0.1))])
+    return mix(0.3, atoms, dens)
+
+
+def recorded_bad_delta_calls(monkeypatch, run):
+    """The arguments of every bad_delta_set call that run() makes."""
+    calls, real = [], zerofree.bad_delta_set
+    monkeypatch.setattr(zerofree, "bad_delta_set", lambda *args: calls.append(args) or real(*args))
+    run()
+    monkeypatch.setattr(zerofree, "bad_delta_set", real)
+    return calls
+
+
+def assert_tau_filters(f0, gamma0, T, step, values, taus=(), around=True):
+    """bad_delta_set with tau is the full set cut at tau, for taus and,
+    when around, for tau 1e-9 below and above each bad weight."""
+    full = bad_delta_set(f0, gamma0, T, step, values)
+    taus = list(taus) + [d + s for d in full if around for s in (-1e-9, 1e-9)]
+    for tau in taus:
+        assert bad_delta_set(f0, gamma0, T, step, values, tau) == [d for d in full if d < tau]
+    return full
+
+
+class TestBadDeltaTau:
+    @pytest.mark.parametrize("n", [80, 128, 200])
+    def test_lattice_sweep(self, n):
+        # the 60 laws of the lattice certificate sweep, scanned as
+        # select_delta scans a lattice: gamma0 at the left edge, over half
+        # a period; tau around each bad weight on one law in four (11-70
+        # weights a law, two scans per weight)
+        for seed in range(20):
+            law = sweep_law(n, seed)
+            gamma0 = float(law.discrete.locations[0])
+            step = _root_scan_step(law, gamma0)
+            T = math.pi / 1.3 + step
+            f0 = CharFn(law)
+            grid = f0.eval_grid(0.0, step, int(math.ceil(T / step)) + 1)
+            full = assert_tau_filters(f0, gamma0, T, step, grid, (0.05, 0.05 + 1e-6, 0.5),
+                                      around=seed % 4 == 0)
+            assert full
+
+    @pytest.mark.parametrize("kind", ["uniform", "tnormal", "bumps"])
+    def test_density_and_mixture_selections(self, monkeypatch, kind):
+        # every root scan of abs-cont and of mixture cases 1a, 1b and 2
+        def run():
+            approximate_abs_cont(bench_density(kind), 0.05, 0.4, 0.5, "plus")
+            for case in ("1a", "1b", "2"):
+                approximate_mixture(bench_mixture(case, kind), 0.05)
+        calls = recorded_bad_delta_calls(monkeypatch, run)
+        assert len(calls) == 5
+        weights = 0
+        for f0, gamma0, T, step, values, tau in calls:
+            weights += len(assert_tau_filters(f0, gamma0, T, step, values, (tau, 0.5)))
+        assert weights > 0
+
+    def test_heavy_atom_lattice_polishes_nothing(self, monkeypatch):
+        # |f| >= 0.4 keeps every bad weight far above tau: no bracket is
+        # polished, and a scan without tau polishes them all
+        calls = []
+        real = charfn.bracket_roots
+        monkeypatch.setattr(charfn, "bracket_roots",
+                            lambda *args: calls.append(args[1].size) or real(*args))
+        for seed in (5, 6, 7):
+            res = approximate_lattice(heavy_lattice_law(seed=seed), 0.05)
+            assert res.certificate.lower_bound > config.CERTIFICATE_FLOOR
+        assert calls == []
+        law = heavy_lattice_law()
+        assert len(bad_delta_set(CharFn(law), 0.3, math.pi / 1.1,
+                                 _root_scan_step(law, 0.3))) > 10
+        assert calls and calls[0] > 10
+
+    @pytest.mark.parametrize("name", ["heavy", "sweep", "uniform", "1a", "1b", "2", "skewed"])
+    def test_selection_ignores_the_cut(self, monkeypatch, name, skewed_two_atom):
+        # with bad_delta_set blind to tau, select_delta picks the same
+        # delta and certificate from the full set
+        law, gamma0 = {
+            "heavy": lambda: (heavy_lattice_law(), 0.3),
+            "sweep": lambda: (sweep_law(128, 3), -0.7),
+            "uniform": lambda: (bench_density("uniform"), -0.3),
+            "1a": lambda: (bench_mixture("1a", "bumps"), None),
+            "1b": case_1b_law,
+            "2": lambda: (bench_mixture("2", "tnormal"), -0.3),
+            "skewed": lambda: (skewed_two_atom, 0.0),
+        }[name]()
+        if gamma0 is None:
+            gamma0 = float(law.discrete.locations[0])
+        for tau in (0.05, 0.5):
+            cut = select_delta(law, gamma0, tau)
+            real = zerofree.bad_delta_set
+            monkeypatch.setattr(zerofree, "bad_delta_set",
+                                lambda f0, g, T, step, values=None, *_:
+                                real(f0, g, T, step, values))
+            full = select_delta(law, gamma0, tau)
+            monkeypatch.setattr(zerofree, "bad_delta_set", real)
+            assert (cut.delta, cut.certificate) == (full.delta, full.certificate)
+            assert cut.bad_deltas == tuple(d for d in full.bad_deltas
+                                           if d < tau + config.DELTA_SEPARATION)
 
 
 def sweep_law(n, seed):
