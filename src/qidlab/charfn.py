@@ -31,8 +31,9 @@ V, so on a cell of width h it stays within (h^2/8) V of its chord, and
 cells whose bound is at or below the floor are bisected.
 CharFn.allowance bounds the rounding of every computed value, so both
 are proofs. min_modulus_scan, a sampled minimum with parabolic polish
-read in blocks of the grid, serves check-zero-free and the rational
-floor of impossibility.one_period_floor.
+read in blocks of the grid, serves check-zero-free, the rational floor
+of impossibility.one_period_floor and each window of
+impossibility.inf_scan.
 
 The log branch of a lattice polynomial P(theta) = sum_k c_k e^{ik*theta}
 (_track_branch, which spectral extraction reads) is one inverse FFT of
@@ -314,6 +315,11 @@ def min_modulus_scan(f, T: float, step: float) -> ZeroFreeCertificate:
     so memory stays bounded; ties go to the lower index. The certificate
     records the least modulus seen, grid or polished, and where: a
     sample, never above the grid minimum, and no proof.
+
+    impossibility.inf_scan also passes s -> f(lo + s) to read the window
+    [lo, lo + T] between two rungs. That f is not conjugate-symmetric,
+    so the symmetric-window reading of the certificate does not apply;
+    the caller reads only min_modulus and argmin_t.
     """
     if T <= 0 or step <= 0:
         raise InputError("T and step must be positive")

@@ -13,18 +13,16 @@ from qidlab.impossibility import (InfScanReport, inf_scan, kutlu_phi, kutlu_zero
 SQRT2 = math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
-# regression baselines from the grid-scan oracle (step 0.01, golden polish)
-SQRT2_MINIMA = [0.008300652260820272, 0.0010047466268852737,
-                0.000273304986747576, 0.00015500345812906864]
-GOLDEN_MINIMA = [0.020255719975697074, 0.0005071885108728658,
-                 0.000507188510862705, 0.00021116736502388658]
-PI_MINIMA = [0.02323469717978972, 2.6223868340994178e-05,
-             2.6223868340994178e-05, 2.6223868340994178e-05]
+# regression baselines of the ladder 1e2, 1e3, 1e4, 1e5 at step 0.01;
+# the computed rungs agree with mpmath's |f| at their argmins within 6e-17
+SQRT2_MINIMA = [8.300652261e-3, 1.004746627e-3, 2.436941917e-4, 7.174268149e-6]
+GOLDEN_MINIMA = [2.025571998e-2, 5.071885109e-4, 7.398933325e-5, 7.398933325e-5]
+PI_MINIMA = [2.323469718e-2, 6.556004583e-6, 6.556004583e-6, 6.556004583e-6]
 RATIONAL_32_FLOOR = 0.20244881124183817
-# exact least |three_point_cf(sqrt2, t)| over [0, 1e5], alpha the float
-# sqrt(2): mpmath at 40 digits, findroot of d/dt |f|^2 from the scan's
-# argmin t = 38989.2596159198, then |f| there
-SQRT2_EXACT_MIN_1E5 = 1.5500345866064224e-4
+# exact local minimum of |three_point_cf(sqrt2, t)| near the scan's
+# argmin over [0, 1e5], alpha the float sqrt(2): mpmath at 40 digits,
+# findroot of d/dt |f|^2 from t = 99108.87065839086, then |f| there
+SQRT2_EXACT_MIN_1E5 = 7.174268149290285e-6
 
 
 class TestKutluPhi:
@@ -79,6 +77,13 @@ class TestThreePointCF:
         lhs = three_point_cf(SQRT2, ts)
         rhs = kutlu_phi(ts, SQRT2 * ts)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    def test_exact_phases_at_large_t(self):
+        # mpmath |f| at 40 digits, alpha the float sqrt(2); the rounded
+        # phase fl(alpha*t) is off by 7.2e-13 and 3.1e-12 here
+        for t, exact in ((38989.2596159198, 1.5500345866064247e-4),
+                         (99108.87065839086, 7.1742681492907225e-6)):
+            assert abs(abs(three_point_cf(SQRT2, t)) - exact) <= 1e-15
 
     def test_degenerate_lattice_alpha_one(self):
         # alpha = 1: f(t) = (2 e^{it} + e^{2it}) / 3, |f(pi)| = 1/3
@@ -141,15 +146,25 @@ class TestInfScan:
         assert repp.minima[-1][1] < 0.1
 
     def test_polish_only_when_the_grid_minimum_drops(self, monkeypatch):
-        # over (1e3, 1e4] no grid point beats the dip found by t = 1e3
-        calls = []
-        polish = impossibility._polish_keep
-        monkeypatch.setattr(impossibility, "_polish_keep",
-                            lambda *a: calls.append(a) or polish(*a))
-        rep = inf_scan(GOLDEN, [1e3, 1e4], 0.01)
-        assert len(calls) == 1
+        # each window between rungs is one min_modulus_scan; over
+        # (1e3, 1e4] nothing beats the dip found by t = 1e3, so the rung
+        # carries it forward unchanged
+        widths = []
+        scan = impossibility.min_modulus_scan
+        monkeypatch.setattr(impossibility, "min_modulus_scan",
+                            lambda f, T, step: widths.append(T) or scan(f, T, step))
+        rep = inf_scan(math.pi, [1e3, 1e4], 0.01)
+        assert widths == [1e3, 9e3]
         assert rep.minima[0][1:] == rep.minima[1][1:]
-        assert rep.minima[1][1] == pytest.approx(GOLDEN_MINIMA[2], rel=1e-9)
+        assert rep.minima[1][1] == pytest.approx(PI_MINIMA[1], rel=1e-9)
+        assert rep.minima[1][2] == pytest.approx(236.6667, abs=1e-3)
+
+    def test_pi_finds_the_dip_off_the_grid_minimum(self):
+        # the lowest grid point of [0, 1e3] sits at the shallower dip
+        # t = 946.67 (|f| = 2.62e-5); the least modulus is at t = 236.6667
+        rep = inf_scan(math.pi, [1e2, 1e3], 0.01)
+        assert rep.minima[1][1] <= 6.5561e-6
+        assert abs(rep.minima[1][2] - 236.6667) <= 1e-3
 
     def test_rational_stabilizes_at_period_floor(self):
         frac = Fraction(3, 2)
@@ -176,7 +191,7 @@ class TestInfScan:
     def test_chunk_seams_keep_first_of_equal_minima(self, monkeypatch):
         scan = inf_scan(SQRT2, [10.0, 100.0], 0.01)
         floor = one_period_floor(Fraction(3, 2), 0.01)
-        monkeypatch.setattr(impossibility, "_CHUNK", 7)
+        monkeypatch.setattr(impossibility, "BLOCK_ENTRIES", 7)
         monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 16 * 7)
         assert inf_scan(SQRT2, [10.0, 100.0], 0.01) == scan
         assert one_period_floor(Fraction(3, 2), 0.01) == floor
