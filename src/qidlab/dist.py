@@ -11,6 +11,14 @@ at both grid ends, which makes masses, convolution supports, L1
 distances and characteristic functions of represented laws computable
 without quadrature guesswork: integrals of piecewise-linear data are
 evaluated exactly, cell by cell.
+
+Two uniform grids nest when one step is a whole multiple m of the other
+and their origins differ by whole fine steps, both within a few ulps of
+the largest node coordinate. The coarse interpolant is then piecewise
+linear on the fine grid, so convolution, mixing and TV measurement work
+on the fine grid by index, without resampling, FFT or a union of nodes,
+and an atom on the fine grid shifts a density copy exactly. Grids that
+do not nest are interpolated onto a common grid.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from ._fft import TaylorTable, fftconvolve
@@ -286,6 +295,12 @@ def continuous_bernoulli(q: float, tau: float, side: str,
     """Continuous Bernoulli smoothing kernel, rescaled to [0, tau]
     ("plus") or [-tau, 0] ("minus").
 
+    With ``step`` given, the nodes of either side lie on step*Z, so the
+    kernel grid nests in any grid whose step is a whole multiple of
+    ``step`` and whose origin lies on step*Z, and an atom on such a grid
+    shifts the kernel exactly. Without it, [0, tau] or [-tau, 0] is
+    split into config.DEFAULT_CELLS cells.
+
     The base density on [0, 1] is C_q * q^x * (1-q)^(1-x) with
     C_q = log(q/(1-q)) / (2q - 1); q = 1/2 is rejected because C_q
     degenerates there (and the uniform kernel is excluded anyway).
@@ -308,7 +323,8 @@ def continuous_bernoulli(q: float, tau: float, side: str,
         lo, hi = 0.0, tau
         fn = lambda x: base(x / tau) / tau
     else:
-        lo, hi = -tau, 0.0
+        lo = -tau if step is None else -step * math.ceil(tau / step - 1e-12)
+        hi = 0.0
         fn = lambda x: base(x / tau + 1.0) / tau
     return density_from_callable(fn, lo, hi, step=step)
 
@@ -391,10 +407,73 @@ def _grid_density(origin: float, step: float, vals: np.ndarray) -> DensityLaw:
     return DensityLaw(origin, step, vals / mass)
 
 
+def _snap_tol(scale: float) -> float:
+    """How far node coordinates of magnitude up to scale may sit from
+    where they are meant to be and still count as on a grid: the
+    rounding of origin + i*step, a few ulps, with a margin."""
+    return 8.0 * _FLOAT_EPS * scale
+
+
+def _extent(d: DensityLaw) -> float:
+    """Largest |x| over the nodes of d."""
+    return max(abs(d.grid_origin), abs(d.grid_origin + d.grid_step * (d.samples.size - 1)))
+
+
+def _whole_steps(dx, step: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(k, ok), elementwise: the whole number k of steps nearest to dx,
+    and whether dx lies within tol of k*step."""
+    k = np.round(np.asarray(dx, dtype=float) / step)
+    return k.astype(np.int64), np.abs(dx - k * step) <= tol
+
+
+def _step_ratio(d: DensityLaw, step: float, tol: float) -> int | None:
+    """The whole number m with d.grid_step = m*step, judged on d's whole
+    span within tol; None when there is none."""
+    cells = d.samples.size - 1
+    k, ok = _whole_steps(d.grid_step * cells, step, tol)
+    return int(k) // cells if ok and k >= cells and k % cells == 0 else None
+
+
+def _upsample(s: np.ndarray, m: int) -> np.ndarray:
+    """The interpolant through samples s read at m points per cell."""
+    if m == 1:
+        return s
+    r = np.arange(m) / m
+    return np.append((np.outer(s[:-1], 1.0 - r) + np.outer(s[1:], r)).ravel(), s[-1])
+
+
+def _nested_sum(parts: list[tuple[float, DensityLaw]]
+                ) -> tuple[float, float, np.ndarray, float] | None:
+    """sum_j w_j p_j on the finest grid of the parts as (origin, step,
+    values, tol), when every part's grid nests in it within tol; None
+    otherwise. Snapping moves each part's nodes by at most 2*tol: tol at
+    its origin and tol at its last node."""
+    step = min(d.grid_step for _, d in parts)
+    lo = min(d.grid_origin for _, d in parts)
+    tol = _snap_tol(max(_extent(d) for _, d in parts))
+    placed = []
+    for w, d in parts:
+        m = _step_ratio(d, step, tol)
+        off, ok = _whole_steps(d.grid_origin - lo, step, tol)
+        if m is None or not ok:
+            return None
+        placed.append((w, d.samples, m, int(off)))
+    acc = np.zeros(max(off + m * (s.size - 1) + 1 for _, s, m, off in placed))
+    for w, s, m, off in placed:
+        acc[off:off + m * (s.size - 1) + 1] += w * _upsample(s, m)
+    return lo, step, acc, tol
+
+
 def _weighted_density_sum(parts: list[tuple[float, DensityLaw]]) -> DensityLaw:
-    """Combine weighted densities onto one uniform grid (weights sum to 1)."""
+    """Combine weighted densities onto one uniform grid (weights sum to 1):
+    by index on the finest grid when the grids nest, else by
+    interpolation onto a grid at the finest step."""
     if len(parts) == 1 and abs(parts[0][0] - 1.0) < 1e-14:
         return parts[0][1]
+    nested = _nested_sum(parts)
+    if nested is not None:
+        lo, step, acc, _ = nested
+        return _grid_density(lo, step, acc)
     step = min(d.grid_step for _, d in parts)
     lo = min(d.grid_origin for _, d in parts)
     hi = max(d.nodes[-1] for _, d in parts)
@@ -453,33 +532,76 @@ def _resample_density(d: DensityLaw, step: float) -> DensityLaw:
     return _grid_density(d.grid_origin, step, d.pdf(xs))
 
 
+def _polyphase_convolve(coarse: np.ndarray, fine: np.ndarray, m: int) -> np.ndarray:
+    """up_m(coarse) (*) hat_m (*) fine for m >= 2: the convolution of the
+    interpolant through ``coarse``, read at m points per cell, with
+    ``fine``, on the grid that resampling builds (one trailing zero node
+    included), without building the resampled operand.
+
+    With g = hat_m (*) fine cut into rows G[j] = g[m*j : m*(j + 1)],
+    output entry m*p + r is sum_j coarse[p - j] * G[j, r]: one product of
+    a sliding window of coarse by G.
+    """
+    hat = 1.0 - np.abs(np.arange(1 - m, m)) / m
+    g = np.convolve(hat, fine)
+    rows = -(-g.size // m)
+    cut = np.zeros(rows * m)
+    cut[:g.size] = g
+    pad = np.zeros(rows - 1)
+    window = sliding_window_view(np.concatenate((pad, coarse, pad)), rows)
+    full = (np.ascontiguousarray(window) @ cut.reshape(rows, m)[::-1].copy()).ravel()
+    # hat_m peaks m - 1 entries in
+    return full[m - 1:m * coarse.size + fine.size]
+
+
 def _convolve_densities(d1: DensityLaw, d2: DensityLaw) -> DensityLaw:
+    """Density of the convolution on a grid at the finer step.
+
+    When the coarser step is a whole multiple m >= 2 of the finer one and
+    the product of the polyphase form stays within the direct size rule,
+    the coarse interpolant is convolved as is (``_polyphase_convolve``);
+    otherwise both operands are resampled onto the finer step and
+    convolved directly or through the FFT.
+    """
     step = min(d1.grid_step, d2.grid_step)
     if (d1.nodes[-1] - d1.grid_origin + d2.nodes[-1] - d2.grid_origin) / step > (1 << 24):
         raise InputError("resolution underflow: convolution grid would exceed "
                          "2^24 cells; resample the operands first")
+    origin = d1.grid_origin + d2.grid_origin
+    coarse, fine = (d1, d2) if d1.grid_step >= d2.grid_step else (d2, d1)
+    m = _step_ratio(coarse, step, _snap_tol(max(_extent(d1), _extent(d2))))
+    if m is not None and m > 1:
+        rows = -(-(fine.samples.size + 2 * m - 2) // m)
+        if (coarse.samples.size + rows - 1) * rows * m <= 262144:
+            conv = _polyphase_convolve(coarse.samples, fine.samples, m)
+            return _grid_density(origin, step, conv * step)
     d1, d2 = _resample_density(d1, step), _resample_density(d2, step)
     s1, s2 = d1.samples, d2.samples
     if s1.size * s2.size > 262144:
         conv = fftconvolve(s1, s2)
     else:
         conv = np.convolve(s1, s2)
-    return _grid_density(d1.grid_origin + d2.grid_origin, step, conv * step)
+    return _grid_density(origin, step, conv * step)
 
 
-def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw) -> DensityLaw:
-    """Sum of atom-shifted density copies on one grid.
+def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw, anchor: float) -> DensityLaw:
+    """Sum of atom-shifted density copies on the grid
+    d.grid_origin + anchor + d.grid_step*Z.
 
-    Off-grid shifts split each copy linearly between the two adjacent
-    node offsets; mass is preserved exactly and the support widens by
-    at most one grid step.
+    ``convolve`` anchors on the origin of the density the copies are
+    summed with, so the copies nest in that sum's grid. An atom on
+    anchor + d.grid_step*Z, within a few ulps of the largest coordinate,
+    shifts its copy exactly. An off-grid atom splits its copy linearly
+    between the two adjacent node offsets; mass is preserved exactly and
+    the support widens by at most one grid step.
     """
     h = d.grid_step
     locs, masses = disc.locations, disc.masses
-    rel = locs / h
-    base = np.floor(rel + 1e-9).astype(int)
-    frac = rel - base
-    frac[frac < 1e-9] = 0.0
+    rel = locs - anchor
+    tol = _snap_tol(max(float(np.max(np.abs(locs))), abs(anchor)))
+    k, on = _whole_steps(rel, h, tol)
+    base = np.where(on, k, np.floor(rel / h)).astype(np.int64)
+    frac = np.where(on, 0.0, rel / h - base)
     bmin = int(base.min())
     span = int(base.max()) - bmin + 1
     n = d.samples.size
@@ -489,14 +611,18 @@ def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw) -> DensityLaw:
         acc[off:off + n] += m * (1.0 - f) * d.samples
         if f > 0.0:
             acc[off + 1:off + 1 + n] += m * f * d.samples
-    return _grid_density(d.grid_origin + h * bmin, h, acc)
+    return _grid_density(d.grid_origin + anchor + h * bmin, h, acc)
 
 
 def convolve(F1: Law, F2: Law) -> Law:
     """Convolution of two laws.
 
     Discrete (*) discrete is exact; parts involving densities land on a
-    common uniform grid. Support bounds add within one grid step.
+    common uniform grid. Support bounds add within one grid step. When
+    one density step is a whole multiple of the other, the density parts
+    are added on the finer grid by index, and an atom of one operand
+    that lies on the other operand's density grid shifts its copy
+    exactly.
     """
     w1, w2 = F1.discrete_weight, F2.discrete_weight
     locs = masses = np.empty(0)
@@ -504,12 +630,14 @@ def convolve(F1: Law, F2: Law) -> Law:
         locs = np.add.outer(F1.discrete.locations, F2.discrete.locations).ravel()
         masses = np.multiply.outer(w1 * w2 * F1.discrete.masses, F2.discrete.masses).ravel()
     dens = []
-    for w, p1, p2, conv in (
-            (w1 * (1.0 - w2), F1.discrete, F2.continuous, _convolve_atoms_density),
-            (w2 * (1.0 - w1), F2.discrete, F1.continuous, _convolve_atoms_density),
-            ((1.0 - w1) * (1.0 - w2), F1.continuous, F2.continuous, _convolve_densities)):
-        if p1 is not None and p2 is not None and w > 0:
-            dens.append((w, conv(p1, p2)))
+    for w, disc, d, other in ((w1 * (1.0 - w2), F1.discrete, F2.continuous, F1.continuous),
+                              (w2 * (1.0 - w1), F2.discrete, F1.continuous, F2.continuous)):
+        if disc is not None and d is not None and w > 0:
+            anchor = other.grid_origin if other is not None else 0.0
+            dens.append((w, _convolve_atoms_density(disc, d, anchor)))
+    w = (1.0 - w1) * (1.0 - w2)
+    if F1.continuous is not None and F2.continuous is not None and w > 0:
+        dens.append((w, _convolve_densities(F1.continuous, F2.continuous)))
     return _assemble(locs, masses, dens)
 
 
@@ -528,34 +656,42 @@ def _union_nodes(*node_arrays: np.ndarray) -> np.ndarray:
     return xs[keep]
 
 
-def _abs_pl_integral(xs: np.ndarray, vals: np.ndarray) -> float:
-    """Exact integral of |piecewise-linear function| through (xs, vals)."""
+def _abs_pl_integral(dx, vals: np.ndarray) -> float:
+    """Exact integral of |piecewise-linear function| with node values
+    vals and cell widths dx (an array, or one float on a uniform grid)."""
     a, b = vals[:-1], vals[1:]
-    dx = np.diff(xs)
-    straight = 0.5 * dx * (np.abs(a) + np.abs(b))
+    twice = np.abs(a) + np.abs(b)
     crossing = a * b < 0
     if np.any(crossing):
         ac, bc = a[crossing], b[crossing]
-        straight[crossing] = 0.5 * dx[crossing] * (ac * ac + bc * bc) / (np.abs(ac) + np.abs(bc))
-    return float(np.sum(straight))
+        twice[crossing] = (ac * ac + bc * bc) / (np.abs(ac) + np.abs(bc))
+    return 0.5 * float(np.sum(dx * twice))
 
 
 def _density_l1(parts1: list[tuple[float, DensityLaw]],
                 parts2: list[tuple[float, DensityLaw]]) -> tuple[float, float]:
     """Exact L1 distance between two weighted density sums, plus a float
-    rounding allowance."""
-    all_nodes = [d.nodes for _, d in parts1 + parts2]
-    if not all_nodes:
+    rounding allowance.
+
+    Nested grids are read on the finest grid by index (``_nested_sum``).
+    Moving the nodes of an interpolant of variation V by at most x moves
+    it by at most 2*x*V in L1, so the snap adds 4*tol*sum |w|*V to the
+    allowance. Other grids are read on the sorted union of all nodes.
+    """
+    parts = parts1 + [(-w, d) for w, d in parts2]
+    if not parts:
         return 0.0, 0.0
-    xs = _union_nodes(*all_nodes)
+    nested = _nested_sum(parts)
+    if nested is not None:
+        _, step, diff, tol = nested
+        snap = 4.0 * tol * sum(abs(w) * float(np.sum(np.abs(np.diff(d.samples))))
+                               for w, d in parts)
+        return _abs_pl_integral(step, diff), 8.0 * _FLOAT_EPS * diff.size + snap
+    xs = _union_nodes(*(d.nodes for _, d in parts))
     diff = np.zeros_like(xs)
-    for w, d in parts1:
+    for w, d in parts:
         diff += w * d.pdf(xs)
-    for w, d in parts2:
-        diff -= w * d.pdf(xs)
-    value = _abs_pl_integral(xs, diff)
-    bound = 8.0 * _FLOAT_EPS * xs.size if xs.size else 0.0
-    return value, bound
+    return _abs_pl_integral(np.diff(xs), diff), 8.0 * _FLOAT_EPS * xs.size
 
 
 def tv_distance(F1: Law, F2: Law) -> tuple[float, float]:
@@ -589,13 +725,15 @@ def l1_modulus(F: Law, u: float) -> float:
     d = F.continuous
     xs = _union_nodes(d.nodes, d.nodes + u)
     diff = d.pdf(xs) - d.pdf(xs - u)
-    return _abs_pl_integral(xs, diff)
+    return _abs_pl_integral(np.diff(xs), diff)
 
 
 def mass_on_interval(d: DensityLaw, lo: float, hi: float) -> float:
     """Exact mass the piecewise-linear density puts on [lo, hi]."""
     if hi <= lo:
         return 0.0
+    if lo <= d.grid_origin and hi >= d.nodes[-1]:
+        return d.grid_step * float(np.sum(d.samples))
     xs = _union_nodes(d.nodes, np.array([lo, hi]))
     xs = xs[(xs >= lo - 1e-15) & (xs <= hi + 1e-15)]
     if xs.size < 2:

@@ -64,9 +64,16 @@ def truncate_density(F: Law, eps: float) -> tuple[Law, float, float]:
     below eps and renormalize.
 
     Grid densities already have compact support, so r_eps is the
-    support radius, the kept mass c_eps is 1 and the law passes through
-    unchanged; the general restriction path exists for asymmetric
-    re-truncation (mixture case 1b).
+    support radius and the kept mass c_eps is h*sum(samples), 1 within
+    rounding. The returned law is a copy of F trimmed to one zero node at
+    each end and renormalised; the general restriction path exists for
+    asymmetric re-truncation (mixture case 1b).
+
+    F itself is not returned. The CF of the mixed law caches a Taylor
+    table on its density (``DensityLaw.node_table``, a few hundred KiB
+    at 256 cells); cached on F it would live as long as the caller holds F.
+    Returning F raised peak RSS of the density benchmark, which holds 40
+    input densities, from 54.4 to 64.1 MiB.
     """
     _require_eps(eps)
     if not F.is_pure_density:
@@ -119,7 +126,10 @@ def truncate_lattice(F: Law, eps: float) -> tuple[Law, int, int, float, float]:
 
 def _kernel_step(grid_step: float, tau: float) -> float:
     """Kernel grid step: the target step divided by a power of two so
-    the kernel resolves (commensurate grids keep atom shifts exact)."""
+    the kernel resolves. The kernel grid then nests in the target's
+    (``continuous_bernoulli`` puts its nodes on step*Z), so the atom on
+    a target node shifts the kernel exactly and ``convolve`` and
+    ``tv_distance`` work on the kernel grid by index."""
     k = max(0, math.ceil(math.log2(max(1.0, _KERNEL_MIN_CELLS * grid_step / tau))))
     if k > 24:
         raise PipelineError("smoothing kernel would need a grid finer than "
@@ -134,10 +144,10 @@ def _choose_smoothing(F: Law, eps: float, q: float, tau: float,
 
     With kernel nodes x_m, samples k_m and cell weights w_m = step*k_m,
     convolve(F, kernel) is exactly sum_m w_m F(. - x_m): the kernel step
-    divides F's step by a power of two, so resampling keeps F's
-    interpolant, each shift of it is piecewise linear on the output
-    grid, and w_m >= 0 with sum 1. A shift by x moves a density of
-    variation V = sum |s_{i+1} - s_i| by at most |x|*V in L1, so
+    divides F's step by a power of two, so F's interpolant and each
+    shift of it are piecewise linear on the output grid, and w_m >= 0
+    with sum 1. A shift by x moves a density of variation
+    V = sum |s_{i+1} - s_i| by at most |x|*V in L1, so
 
         tv(F, convolve(F, kernel)) <= V * sum_m w_m |x_m|,
 

@@ -241,6 +241,109 @@ class TestConvolve:
         assert np.max(np.abs(d.samples - triangle)) < 5e-3
 
 
+
+def _bumpy_density(origin, step, n, seed):
+    """A positive random profile on n nodes, zero at both ends."""
+    vals = np.random.default_rng(seed).uniform(0.2, 1.0, n)
+    vals[0] = vals[-1] = 0.0
+    return dist._grid_density(origin, step, vals)
+
+
+def _resampled_convolution(d1, d2):
+    """Reference: resample both operands onto the finer step, then
+    convolve directly."""
+    step = min(d1.grid_step, d2.grid_step)
+    r1, r2 = dist._resample_density(d1, step), dist._resample_density(d2, step)
+    return dist._grid_density(d1.grid_origin + d2.grid_origin, step,
+                              np.convolve(r1.samples, r2.samples) * step)
+
+
+def _union_l1(parts1, parts2):
+    """Reference: L1 distance of two weighted density sums on the sorted
+    union of every node, cell by cell."""
+    xs = np.unique(np.concatenate([d.nodes for _, d in parts1 + parts2]))
+    diff = (sum(w * d.pdf(xs) for w, d in parts1)
+            - sum(w * d.pdf(xs) for w, d in parts2))
+    a, b = diff[:-1], diff[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cross = np.where(a * b < 0, (a * a + b * b) / (np.abs(a) + np.abs(b)), 0.0)
+    cells = np.where(a * b < 0, cross, np.abs(a) + np.abs(b))
+    return float(np.sum(0.5 * np.diff(xs) * cells))
+
+
+class TestNestedGrids:
+    @pytest.mark.parametrize("m", [1, 2, 3, 64])
+    @pytest.mark.parametrize("coarse_first", [True, False])
+    def test_convolution_matches_resampled_reference(self, m, coarse_first, monkeypatch):
+        calls = []
+        polyphase = dist._polyphase_convolve
+        monkeypatch.setattr(dist, "_polyphase_convolve",
+                            lambda *a: calls.append(a) or polyphase(*a))
+        h = 0.01
+        coarse = _bumpy_density(-0.537, h, 41, seed=m)
+        fine = _bumpy_density(0.213, h / m, 3 * m + 20, seed=m + 100)
+        d1, d2 = (coarse, fine) if coarse_first else (fine, coarse)
+        out = dist._convolve_densities(d1, d2)
+        ref = _resampled_convolution(d1, d2)
+        assert len(calls) == (m > 1)
+        assert out.grid_origin == ref.grid_origin
+        assert out.grid_step == ref.grid_step
+        assert out.samples.size == ref.samples.size
+        assert np.max(np.abs(out.samples - ref.samples)) <= 1e-13 * np.max(ref.samples)
+
+    def test_same_step_long_pair_uses_fft(self, monkeypatch):
+        calls = []
+        fft = dist.fftconvolve
+        monkeypatch.setattr(dist, "fftconvolve", lambda *a: calls.append(a) or fft(*a))
+        d1 = _bumpy_density(0.0, 1e-3, 2000, seed=1)
+        d2 = _bumpy_density(0.5, 1e-3, 2000, seed=2)
+        out = dist._convolve_densities(d1, d2)
+        assert len(calls) == 1
+        assert out.grid_step * out.samples.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("steps, offsets, nested", [
+        ((0.01, 0.0025, 0.005), (0.0, 7, 3), True),
+        ((0.01, 0.01 / 3, 0.01), (0.0, 5, 11), True),
+        ((0.01, 0.0037, 0.01), (0.0, 5, 11), False),
+        ((0.01, 0.01, 0.01), (0.0, 0.5, 2), False),
+    ], ids=["dyadic", "thirds", "incommensurate", "half-step-offset"])
+    def test_l1_matches_union_reference(self, steps, offsets, nested):
+        # each part's origin is -1.234 plus offsets[j] of the finest step
+        finest = min(steps)
+        ds = [_bumpy_density(-1.234 + k * finest, h, n, seed=i)
+              for i, (h, k, n) in enumerate(zip(steps, offsets, (60, 150, 90)))]
+        parts1 = [(0.3, ds[0]), (0.7, ds[1])]
+        parts2 = [(1.0, ds[2])]
+        assert (dist._nested_sum(parts1 + parts2) is not None) == nested
+        value, bound = dist._density_l1(parts1, parts2)
+        assert value == pytest.approx(_union_l1(parts1, parts2), abs=1e-14)
+        assert bound < 1e-10
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_kernel_nodes_on_step_lattice(self, side):
+        step = 0.1 / 256 * 1.37
+        d = continuous_bernoulli(0.4, 0.1, side, step=step).continuous
+        k = d.grid_origin / step
+        assert abs(k - round(k)) < 1e-9
+
+    def test_grid_atom_shifts_kernel_exactly(self):
+        F = dist.density_from_callable(lambda x: 1.0 + x * x, 0.1234, 1.1234, cells=64)
+        h = F.continuous.grid_step
+        K = continuous_bernoulli(0.4, 0.1, "plus", step=h / 8)
+        k = K.continuous
+        delta, gamma = 0.05, float(F.continuous.nodes[5])
+        out = convolve(mix(delta, point_mass(gamma), F), K).continuous
+        smooth = convolve(F, K).continuous
+        assert out.grid_step == smooth.grid_step == k.grid_step
+        assert out.grid_origin == smooth.grid_origin
+        copy = out.samples.copy()
+        copy[:smooth.samples.size] -= (1.0 - delta) * smooth.samples
+        shift = 5 * 8
+        expected = np.zeros_like(copy)
+        expected[shift:shift + k.samples.size] = delta * k.samples
+        assert np.max(np.abs(copy - expected)) <= 1e-15
+
+
 # atoms 5e-13 apart lie within config.ATOM_MERGE_TOL and merge onto the
 # leftmost location
 CLOSE = 5e-13

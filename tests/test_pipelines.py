@@ -179,6 +179,13 @@ class TestApproximateAbsCont:
         with pytest.raises(LawShapeError):
             approximate_abs_cont(fair_bernoulli, 0.1, 0.4, 0.5, "plus")
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_target_nodes_on_output_grid(self, side):
+        F = density_from_callable(lambda x: np.exp(-0.5 * x * x), -1.03, 0.9731, cells=256)
+        out = approximate_abs_cont(F, 0.05, 0.4, 0.5, side).approximant.continuous
+        k = (F.continuous.nodes - out.grid_origin) / out.grid_step
+        assert np.max(np.abs(k - np.round(k))) < 1e-9
+
 
 class TestSmoothingBound:
     @pytest.mark.parametrize("law", ["uniform01", "truncated_normal", "bumps", "spike"])
