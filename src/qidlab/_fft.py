@@ -1,4 +1,4 @@
-"""FFT numerics on numpy alone.
+"""FFT numerics on numpy alone, and every grid budget (grid_cells).
 
 TaylorTable evaluates sums of exp(itx) over a uniform grid of x at any
 real t from one table of FFTs. fftconvolve and next_fast_len repeat
@@ -23,10 +23,25 @@ BLOCK_ENTRIES = 1 << 20
 # complex entries a TaylorTable may hold: 16 * BLOCK_ENTRIES, 256 MiB
 TABLE_ENTRIES = 16 * BLOCK_ENTRIES
 
+# points of a scan read in blocks; inf_scan reads 1e8 in 8.5 s
+MAX_GRID_POINTS = 10 ** 9
+
 # levels of 8-way cell subdivision in TaylorTable.floor
 FLOOR_LEVELS = 3
 
 _U = 2.0 ** -53
+
+
+def grid_cells(span: float, step: float, cap: int, what: str) -> int:
+    """ceil(span/step) cells, or InputError past cap points: MAX_GRID_POINTS for
+    blocked scans, 4*BLOCK_ENTRIES (CF values) or TABLE_ENTRIES (reals) held whole."""
+    cells = span / step if step > 0 else math.nan
+    if not (cells > 0 and math.isfinite(cells)):
+        raise InputError(f"{what} of span {span:g} at step {step:g} has no finite point count")
+    if math.ceil(cells) >= cap:
+        raise InputError(f"{what} needs {math.ceil(cells) + 1:.4g} grid points, "
+                         f"above the cap of {cap}")
+    return math.ceil(cells)
 
 
 class TaylorTable:

@@ -50,16 +50,11 @@ from functools import cached_property
 import numpy as np
 
 from . import config
-from ._fft import BLOCK_ENTRIES, FLOOR_LEVELS, TaylorTable, _cell_bounds
+from ._fft import (BLOCK_ENTRIES, FLOOR_LEVELS, MAX_GRID_POINTS, TaylorTable, _cell_bounds,
+                   grid_cells)
 from .dist import DiscreteLaw, Law
 from .errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                      SpectralExtractionError)
-
-# BLOCK_ENTRIES bounds the complex entries of one block of CF products:
-# blocks of t values get BLOCK_ENTRIES // columns rows, the columns being
-# the M + 1 orders of each Taylor table (lattice atoms, density nodes)
-# or, on the dense path, the atoms; so memory stays bounded however many
-# points a batched polish asks for at once.
 
 # Lattice atoms take the Taylor table when its degree + 1 coefficients
 # number at most LATTICE_FILL_MAX per atom. The table holds (M + 1) * N
@@ -310,22 +305,18 @@ def min_modulus_scan(f, T: float, step: float) -> ZeroFreeCertificate:
     the config.REFINE_TOP lowest local minima together by
     parabolic_polish (one call of f per round, from the grid moduli). f
     is a CharFn or any callable of an array of t with f(-t) = conj f(t),
-    so the window is [-T, T]. The grid is read in blocks of
-    BLOCK_ENTRIES // 16 points, each with one neighbour on either side,
-    so memory stays bounded; ties go to the lower index. The certificate
-    records the least modulus seen, grid or polished, and where: a
-    sample, never above the grid minimum, and no proof.
+    so the window is [-T, T]. The grid, refused past MAX_GRID_POINTS =
+    1e9 points, is read in blocks of BLOCK_ENTRIES // 16 points, each
+    with one neighbour on either side; ties go to the lower index. The
+    certificate records the least modulus seen, grid or polished, and
+    where: a sample, never above the grid minimum, and no proof.
 
     impossibility.inf_scan also passes s -> f(lo + s) to read the window
     [lo, lo + T] between two rungs. That f is not conjugate-symmetric,
     so the symmetric-window reading of the certificate does not apply;
     the caller reads only min_modulus and argmin_t.
     """
-    if T <= 0 or step <= 0:
-        raise InputError("T and step must be positive")
-    if not math.isfinite(T / step):
-        raise InputError(f"window {T:g} over step {step:g} is not a finite point count")
-    n = int(math.ceil(T / step))
+    n = grid_cells(T, step, MAX_GRID_POINTS, "scan grid")
     best_v, best_t = math.inf, 0.0
     # kept local minima: grid index and the moduli at k - 1, k, k + 1
     cand, near = np.empty(0, dtype=np.int64), np.empty((0, 3))
@@ -384,7 +375,7 @@ def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
         if not f.law.is_pure_discrete or disc.locations.size < 2:
             raise LawShapeError("lattice_certificate needs a pure lattice law")
         step = math.pi / (8.0 * float(disc.locations[-1] - disc.locations[0]))
-        n = math.ceil(math.pi / disc.lattice_params()[1] / step) + 1
+        n = grid_cells(math.pi / disc.lattice_params()[1], step, MAX_GRID_POINTS, "chord grid") + 1
         return chord_certificate(f, step, n, f.law, f.allowance(step * (n - 1)))
     b = f._lattice[1]
     table = f._atom_table
@@ -604,10 +595,8 @@ def imag_zero_scan(f0: CharFn, gamma0: float, T: float, step: float,
     of the chord of its computed end values, T' the last grid point.
     Roots on grid nodes are kept whatever their Re f1.
     """
-    if T <= 0 or step <= 0:
-        raise InputError("T and step must be positive")
+    n = grid_cells(T, step, 4 * BLOCK_ENTRIES, "root-scan grid")
     g = lambda t: np.imag(f0(t) * np.exp(-1j * gamma0 * t))
-    n = int(math.ceil(T / step))
     ts = step * np.arange(n + 1)
     if values is None:
         values = f0.eval_grid(0.0, step, n + 1)

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
-from ._fft import TaylorTable, fftconvolve
+from ._fft import TABLE_ENTRIES, TaylorTable, fftconvolve, grid_cells
 from .errors import InputError, LawShapeError, NotLatticeError
 
 _FLOAT_EPS = float(np.finfo(float).eps)
@@ -271,14 +271,15 @@ def law_from_density(origin: float, step: float, samples: Sequence[float]) -> La
 def density_from_callable(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                           cells: int | None = None, step: float | None = None) -> Law:
     """Sample a density on [lo, hi], pad a zero node on each side and
-    renormalize to unit trapezoid mass."""
+    renormalize to unit trapezoid mass. A step grid is counted in steps,
+    less 1e-12, and refused past TABLE_ENTRIES = 2^24 points unsampled."""
     if hi <= lo:
         raise InputError("need hi > lo")
     if step is None:
         n = cells if cells is not None else config.DEFAULT_CELLS
         step = (hi - lo) / n
     else:
-        n = int(math.ceil((hi - lo) / step - 1e-12))
+        n = grid_cells((hi - lo) / step - 1e-12, 1.0, TABLE_ENTRIES, "density grid")
     xs = lo + step * np.arange(n + 1)
     vals = np.asarray(fn(xs), dtype=float)
     vals = np.where(xs <= hi + 1e-12 * step, vals, 0.0)
@@ -323,7 +324,8 @@ def continuous_bernoulli(q: float, tau: float, side: str,
         lo, hi = 0.0, tau
         fn = lambda x: base(x / tau) / tau
     else:
-        lo = -tau if step is None else -step * math.ceil(tau / step - 1e-12)
+        lo = -tau if step is None else -step * grid_cells(tau / step - 1e-12, 1.0,
+                                                          TABLE_ENTRIES, "kernel grid")
         hi = 0.0
         fn = lambda x: base(x / tau + 1.0) / tau
     return density_from_callable(fn, lo, hi, step=step)
@@ -450,6 +452,7 @@ def _nested_sum(parts: list[tuple[float, DensityLaw]]
     its origin and tol at its last node."""
     step = min(d.grid_step for _, d in parts)
     lo = min(d.grid_origin for _, d in parts)
+    grid_cells(max(d.nodes[-1] for _, d in parts) - lo, step, TABLE_ENTRIES, "density sum grid")
     tol = _snap_tol(max(_extent(d) for _, d in parts))
     placed = []
     for w, d in parts:
@@ -477,7 +480,7 @@ def _weighted_density_sum(parts: list[tuple[float, DensityLaw]]) -> DensityLaw:
     step = min(d.grid_step for _, d in parts)
     lo = min(d.grid_origin for _, d in parts)
     hi = max(d.nodes[-1] for _, d in parts)
-    n = int(math.ceil((hi - lo) / step + 0.5)) + 1
+    n = grid_cells((hi - lo) / step + 0.5, 1.0, TABLE_ENTRIES, "density sum grid") + 1
     xs = lo + step * np.arange(n + 1)
     acc = np.zeros(n + 1)
     for w, d in parts:
@@ -526,8 +529,7 @@ def _resample_density(d: DensityLaw, step: float) -> DensityLaw:
     """Resample onto a finer/other uniform step, keeping the origin."""
     if abs(step - d.grid_step) <= 1e-12 * d.grid_step:
         return d
-    width = d.nodes[-1] - d.grid_origin
-    n = int(math.ceil(width / step - 1e-12))
+    n = grid_cells((d.nodes[-1] - d.grid_origin) / step - 1e-12, 1.0, TABLE_ENTRIES, "resampling")
     xs = d.grid_origin + step * np.arange(n + 2)
     return _grid_density(d.grid_origin, step, d.pdf(xs))
 
@@ -564,9 +566,8 @@ def _convolve_densities(d1: DensityLaw, d2: DensityLaw) -> DensityLaw:
     convolved directly or through the FFT.
     """
     step = min(d1.grid_step, d2.grid_step)
-    if (d1.nodes[-1] - d1.grid_origin + d2.nodes[-1] - d2.grid_origin) / step > (1 << 24):
-        raise InputError("resolution underflow: convolution grid would exceed "
-                         "2^24 cells; resample the operands first")
+    grid_cells(d1.nodes[-1] - d1.grid_origin + d2.nodes[-1] - d2.grid_origin, step,
+               TABLE_ENTRIES, "convolution grid")
     origin = d1.grid_origin + d2.grid_origin
     coarse, fine = (d1, d2) if d1.grid_step >= d2.grid_step else (d2, d1)
     m = _step_ratio(coarse, step, _snap_tol(max(_extent(d1), _extent(d2))))
@@ -676,12 +677,15 @@ def _density_l1(parts1: list[tuple[float, DensityLaw]],
     Nested grids are read on the finest grid by index (``_nested_sum``).
     Moving the nodes of an interpolant of variation V by at most x moves
     it by at most 2*x*V in L1, so the snap adds 4*tol*sum |w|*V to the
-    allowance. Other grids are read on the sorted union of all nodes.
+    allowance. Other grids, and those past the cap, use the union of nodes.
     """
     parts = parts1 + [(-w, d) for w, d in parts2]
     if not parts:
         return 0.0, 0.0
-    nested = _nested_sum(parts)
+    try:
+        nested = _nested_sum(parts)
+    except InputError:
+        nested = None
     if nested is not None:
         _, step, diff, tol = nested
         snap = 4.0 * tol * sum(abs(w) * float(np.sum(np.abs(np.diff(d.samples))))

@@ -29,16 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._fft import BLOCK_ENTRIES
+from ._fft import BLOCK_ENTRIES, MAX_GRID_POINTS, TABLE_ENTRIES, grid_cells
 from .charfn import min_modulus_scan
 from .errors import InputError
-
-# Grid points one inf_scan or one_period_floor may visit. A desk-scale
-# window T = 1e6 at step 0.01 is 1e8 points: inf_scan reads 1e7 points
-# in 0.8 s and 1e8 in 8.5 s at a 36 MiB peak (numpy 2.4, one BLAS
-# thread, shared 2-core x86 host); past this cap the scan is refused
-# with InputError before it starts.
-MAX_GRID_POINTS = 10 ** 9
 
 # Kutlu zero scan: grid points below this |phi| seed Newton's method,
 # which then runs a fixed number of steps on all seeds at once.
@@ -107,16 +100,14 @@ def three_point_cf(alpha: float, t):
 
 
 def kutlu_zero_scan(step: float) -> KutluScan:
-    """Zeros of phi on [-pi, pi]^2. Every grid point with |phi| below
-    _KUTLU_SEED_BELOW seeds Newton's method, all seeds stepping together
-    _KUTLU_NEWTON_STEPS times, and the distinct limits with |phi| < 1e-9
-    are reported. Newton reads phi as a map R^2 -> C = R^2 with Jacobian
-    columns d phi/dt_k = i(e^{it_k} + e^{i(t1+t2)})/3, whose determinant
-    Im(conj(d1) d2) is nonzero at both zeros. min_modulus is the least
-    |phi| on the grid or at a Newton limit."""
-    if not (step > 0 and math.isfinite(step)):
-        raise InputError("step must be positive and finite")
-    n = int(math.ceil(2.0 * math.pi / step)) + 1
+    """Zeros of phi on [-pi, pi]^2. Points of the grid (at most 4096 =
+    isqrt(TABLE_ENTRIES) a side) with |phi| below _KUTLU_SEED_BELOW seed
+    Newton's method, all stepping together _KUTLU_NEWTON_STEPS times, and
+    the distinct limits with |phi| < 1e-9 are reported. Newton reads phi
+    as a map R^2 -> C = R^2 with Jacobian columns d phi/dt_k = i(e^{it_k}
+    + e^{i(t1+t2)})/3, whose determinant Im(conj(d1) d2) is nonzero at
+    both zeros. min_modulus is the least |phi| at a grid point or limit."""
+    n = grid_cells(2.0 * math.pi, step, math.isqrt(TABLE_ENTRIES), "Kutlu grid side") + 1
     axis = -math.pi + (2.0 * math.pi) * np.arange(n) / (n - 1)
     mods = np.empty((n, n))
     row_block = max(1, BLOCK_ENTRIES // n)
@@ -143,10 +134,11 @@ def kutlu_zero_scan(step: float) -> KutluScan:
                      zero_locations=tuple(dedup))
 
 
-def _check_points(n: int) -> None:
-    if n > MAX_GRID_POINTS:
-        raise InputError(f"scan needs {n:.3g} grid points, above the cap of "
-                         f"{MAX_GRID_POINTS:.0e}; use a coarser step or a shorter window")
+def _scan_budget(alpha: float, T: float, step: float, what: str) -> int:
+    if not abs(alpha) * T <= 1e8:
+        raise InputError(f"alpha*T = {abs(alpha) * T:.4g} exceeds 1e8, past which "
+                         f"three_point_cf is not accurate")
+    return grid_cells(T, step, MAX_GRID_POINTS, what)
 
 
 def _two_product(a, b):
@@ -169,14 +161,10 @@ def inf_scan(alpha: float, ladder: list[float], step: float) -> InfScanReport:
     by under one step when the width is no multiple of the step); a rung
     keeps the least value so far and its argmin, the first of equal
     minima."""
-    if not (step > 0 and math.isfinite(step)):
-        raise InputError("step must be positive and finite")
     ladder = [float(T) for T in ladder]
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
         raise InputError("ladder must be strictly increasing and non-empty")
-    if not all(math.isfinite(T / step) for T in ladder):
-        raise InputError("every ladder window T and T/step must be finite")
-    _check_points(math.floor(ladder[-1] / step) + 1)
+    _scan_budget(alpha, ladder[-1], step, "inf_scan grid")
     minima: list[tuple[float, float, float]] = []
     running_val, running_arg = math.inf, 0.0
     lo = 0.0
@@ -205,13 +193,11 @@ def one_period_floor(frac: Fraction, step: float) -> tuple[float, float]:
     argmin). This is the floor the window ladder stabilizes at, a
     polished sample: strictly positive unless 3 divides p + q, when the
     CF has real zeros and the floor is 0 up to rounding."""
-    if not (step > 0 and math.isfinite(step)):
-        raise InputError("step must be positive and finite")
     period = rational_cf_period(frac)
     alpha = float(frac)
-    n = int(math.ceil(period / step))
-    _check_points(n + 1)
-    cert = min_modulus_scan(lambda t: three_point_cf(alpha, t), period, period / n)
+    h = period / _scan_budget(alpha, period, step, "one-period grid")
+    # half a cell short, so min_modulus_scan counts these cells however period/h rounds
+    cert = min_modulus_scan(lambda t: three_point_cf(alpha, t), period - 0.5 * h, h)
     return cert.min_modulus, cert.argmin_t
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from ._fft import BLOCK_ENTRIES
+from ._fft import BLOCK_ENTRIES, grid_cells
 from .charfn import (_U, CharFn, ZeroFreeCertificate, _merge_close, chord_certificate,
                      decay_window, imag_zero_scan, lattice_certificate)
 from .dist import Law, is_shift_symmetric, mix, point_mass, support_info
@@ -198,8 +198,8 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     or with gamma0 on F0's lattice, is certified by lattice_certificate;
     any other by chord_certificate from delta*e^{it*gamma0} + (1-delta)*f0
     on that grid, over _scan_window(delta). The grid is extended only
-    when that window reaches past it, and a window of more than
-    4*BLOCK_ENTRIES grid points (64 MiB of values) rejects the candidate.
+    when that window reaches past it. Past 4*BLOCK_ENTRIES points (64 MiB)
+    a candidate window is skipped and the root-scan grid is unverifiable.
     A candidate is accepted when its lower_bound exceeds
     CERTIFICATE_FLOOR; SelectionUnverifiableError is raised when none is.
     """
@@ -211,7 +211,11 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
     period = _fold_period(F0, gamma0)
     if period is not None:
         T0 = min(T0, 0.5 * period + step)
-    grid = f0.eval_grid(0.0, step, int(math.ceil(T0 / step)) + 1)
+    try:
+        n = grid_cells(T0, step, 4 * BLOCK_ENTRIES, "root-scan grid") + 1
+    except InputError as exc:
+        raise SelectionUnverifiableError(str(exc)) from exc
+    grid = f0.eval_grid(0.0, step, n)
     bad = bad_delta_set(f0, gamma0, T0, step, grid, tau + config.DELTA_SEPARATION)
     if f0.is_lattice_table:
         # lattice candidates are certified on their own tables; a fresh
@@ -228,8 +232,9 @@ def select_delta(F0: Law, gamma0: float, tau: float) -> DeltaSelection:
             cert = lattice_certificate(f)
         else:
             T, tail = _scan_window(f0, delta)
-            n = int(math.ceil(T / step)) + 1
-            if n > 4 * BLOCK_ENTRIES:
+            try:
+                n = grid_cells(T, step, 4 * BLOCK_ENTRIES, "certificate grid") + 1
+            except InputError:
                 continue
             if n > grid.size:
                 grid = np.concatenate((grid, f0(step * np.arange(grid.size, n))))

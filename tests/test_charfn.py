@@ -498,6 +498,16 @@ class TestImagZeroScan:
             assert np.array_equal(roots, -roots[::-1])
             assert np.all(np.diff(roots) > 0)
 
+    def test_grid_capped_before_it_is_evaluated(self, skewed_two_atom, monkeypatch):
+        # [0, 4] at step 0.05 is 81 points, held whole: at most 4*BLOCK_ENTRIES
+        f = CharFn(skewed_two_atom)
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 21)
+        assert imag_zero_scan(f, 0.0, 4.0, 0.05)
+        monkeypatch.setattr(charfn, "BLOCK_ENTRIES", 20)
+        monkeypatch.setattr(CharFn, "eval_grid", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(InputError, match="root-scan grid needs 81 grid points"):
+            imag_zero_scan(f, 0.0, 4.0, 0.05)
+
     def test_symmetric_recentered_is_flagged(self, fair_bernoulli):
         with pytest.raises(IdenticallyZeroImagError):
             imag_zero_scan(CharFn(fair_bernoulli), 0.5, 4.0, 0.05)

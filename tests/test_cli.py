@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +150,59 @@ class TestExitCodes:
         out = tmp_path / "pair.json"
         assert main(["spectral-pair", str(path), "-K", "256", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["residual"] < 1e-10
+
+
+# Laws and calls at the edges of every grid budget: each call exits 0, 2
+# or 3 at once, with a message and no numpy text, warning or traceback
+SWEEP_LAWS = {
+    "lattice": {"discrete_weight": 1.0, "atoms": [[0.0, 0.5], [1.0, 0.3], [2.0, 0.2]]},
+    "sparse": {"discrete_weight": 1.0, "atoms": [[0.0, 0.5], [1.0, 0.25], [1e7, 0.25]]},
+    "wide": {"discrete_weight": 0.5, "atoms": [[0.0, 0.5], [1e6, 0.5]],
+             "density": {"origin": 0.0, "step": 0.5, "samples": [0.0, 1.0, 1.0, 0.0]}},
+    "fine": {"discrete_weight": 0.0,
+             "density": {"origin": 0.0, "step": 1e-300, "samples": [0.0, 5e299, 5e299, 0.0]}},
+    "near": {"discrete_weight": 0.0,
+             "density": {"origin": 0.0, "step": 0.25, "samples": [0.0, 2.0, 2.0, 0.0]}},
+    "far": {"discrete_weight": 0.0,
+            "density": {"origin": 1e9, "step": 0.25, "samples": [0.0, 2.0, 2.0, 0.0]}},
+}
+SWEEP = [
+    ("check-zero-free {lattice} --window 1e300", 2, "scan grid needs 1e+302 grid points"),
+    ("check-zero-free {lattice} --window 1e6 --step 1e-4", 2, "scan grid needs 1e+10 grid points"),
+    ("check-zero-free {lattice} --step 1e-300", 2, "scan grid needs 6.4e+301 grid points"),
+    ("approximate {wide} --mode mixture --eps 0.1", 3, "root-scan grid needs"),
+    ("approximate {sparse} --mode lattice --eps 0.05", 3, "root-scan grid needs 8e+07"),
+    ("approximate {fine} --mode abs --eps 0.05", 2, "density grid needs 2.5e+299"),
+    ("approximate {fine} --mode abs --side minus --eps 0.05", 2, "kernel grid needs 2.5e+299"),
+    ("approximate {fine} --mode mixture --eps 0.05", 3, "identically zero"),
+    ("spectral-pair {wide}", 2, "pure lattice"),
+    ("tv {fine} {wide}", 0, ""),
+    ("tv {near} {far}", 0, ""),
+    ("kutlu-scan --step 1e-300", 2, "Kutlu grid side needs 6.283e+300 grid points"),
+    ("inf-scan 1e300", 2, "alpha*T = 6.283e+300 exceeds 1e8"),
+    ("inf-scan sqrt2 --ladder 100 --step 1e-12", 2, "inf_scan grid needs 1e+14 grid points"),
+]
+
+
+def test_sweep_exits_cleanly_at_every_grid_budget(tmp_path, capsys):
+    files = {}
+    for name, law in SWEEP_LAWS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(law))
+    for line, code, said in SWEEP:
+        argv = line.format(**files).split()
+        if argv[0] != "tv":
+            argv += ["--out", str(tmp_path / "out")]
+        t0 = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == code, line
+        assert time.perf_counter() - t0 < 1.0, line
+        err = capsys.readouterr().err
+        assert said in err, (line, err)
+        assert not caught, (line, [str(w.message) for w in caught])
+        for word in ("numpy", "Warning", "Traceback", "Maximum allowed size"):
+            assert word not in err, (line, err)
 
 
 class TestCommands:

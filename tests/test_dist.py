@@ -5,9 +5,9 @@ import pytest
 
 from qidlab import config, dist
 from qidlab.dist import (DensityLaw, DiscreteLaw, Law, continuous_bernoulli,
-                         convolve, is_shift_symmetric, l1_modulus, law_from_atoms,
-                         mix, point_mass, restrict_density, support_info,
-                         tv_distance, uniform_density)
+                         convolve, density_from_callable, is_shift_symmetric, l1_modulus,
+                         law_from_atoms, law_from_density, mix, point_mass, restrict_density,
+                         support_info, tv_distance, uniform_density)
 from qidlab.errors import InputError, LawShapeError, NotLatticeError
 
 
@@ -379,6 +379,48 @@ class TestShiftScale:
         info = support_info(law)
         assert info.lext == pytest.approx(-0.5, abs=1e-12)
         assert info.rext == pytest.approx(0.0, abs=1e-15)
+
+
+class TestGridBudget:
+    """Every held density grid is counted and capped at TABLE_ENTRIES
+    points before it is built (here lowered to 101)."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(dist, "TABLE_ENTRIES", 101)
+
+    def test_sampled_density(self):
+        ones = lambda x: np.ones_like(x)
+        assert density_from_callable(ones, 0.0, 1.0, step=0.01).continuous.samples.size == 103
+        with pytest.raises(InputError, match="density grid needs 102 grid points"):
+            density_from_callable(ones, 0.0, 1.0, step=1.0 / 101)
+        with pytest.raises(InputError, match="density grid needs 1e\\+300 grid points"):
+            density_from_callable(ones, 0.0, 1.0, step=1e-300)
+
+    def test_minus_kernel(self):
+        continuous_bernoulli(0.4, 1.0, "minus", step=0.01)
+        with pytest.raises(InputError, match="kernel grid needs 102 grid points"):
+            continuous_bernoulli(0.4, 1.0, "minus", step=1.0 / 101)
+
+    def test_convolution(self):
+        def flat(n):
+            s = np.ones(n)
+            s[[0, -1]] = 0.0
+            return law_from_density(0.0, 0.25, s / (0.25 * s.sum()))
+
+        # 50 + 50 cells convolve onto 100 cells, 101 points; 50 + 51 do not fit
+        assert convolve(flat(51), flat(51)).continuous.samples.size == 101
+        with pytest.raises(InputError, match="convolution grid needs 102 grid points"):
+            convolve(flat(51), flat(52))
+
+    def test_far_apart_densities(self):
+        # their finest common grid spans 4e9 steps: mixing them is refused,
+        # and TV reads the union of their nodes instead
+        near, far = (law_from_density(x, 0.25, [0.0, 2.0, 2.0, 0.0]) for x in (0.0, 1e9))
+        with pytest.raises(InputError, match="density sum grid needs 4e\\+09 grid points"):
+            mix(0.5, near, far)
+        value, bound = tv_distance(near, far)
+        assert value == pytest.approx(2.0, abs=1e-12) and bound < 1e-12
 
 
 class TestTV:

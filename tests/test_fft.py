@@ -71,6 +71,25 @@ class TestTaylorTable:
             _fft.TaylorTable(0.0, 1.0, c)
 
 
+class TestGridCells:
+    def test_counts_cells_and_refuses_past_the_cap(self):
+        # 10/0.01 = 1000 cells, 1001 points: at a cap of 1001 it passes
+        assert _fft.grid_cells(10.0, 0.01, 1001, "probe") == 1000
+        # plain ceil, no slack: (3*0.1)/0.1 rounds to 3 + 4.4e-16
+        assert _fft.grid_cells(3 * 0.1, 0.1, 5, "probe") == 4
+        with pytest.raises(InputError, match="probe needs 1001 grid points, above the cap of 1000"):
+            _fft.grid_cells(10.0, 0.01, 1000, "probe")
+        with pytest.raises(InputError, match="probe needs 1e\\+302 grid points"):
+            _fft.grid_cells(1e300, 0.01, _fft.MAX_GRID_POINTS, "probe")
+
+    @pytest.mark.parametrize("span, step", [
+        (0.0, 0.01), (-1.0, 0.01), (1.0, 0.0), (1.0, -0.01), (1.0, math.inf),
+        (math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1e300, 1e-300)])
+    def test_no_positive_finite_count_is_refused(self, span, step):
+        with pytest.raises(InputError, match="probe of span"):
+            _fft.grid_cells(span, step, _fft.MAX_GRID_POINTS, "probe")
+
+
 def _oracle_min(c, n=1 << 18):
     """min |P| over n equispaced theta: an upper bound on the true minimum."""
     return float(np.min(np.abs(np.fft.fft(c, n))))

@@ -61,6 +61,13 @@ class TestKutluZeroScan:
         assert found[1][1] == pytest.approx(-z, abs=1e-13)
         assert scan.min_modulus < 1e-15
 
+    def test_grid_past_the_cap_is_refused_before_allocation(self, monkeypatch):
+        # n^2 moduli, n = ceil(2*pi/step) + 1 a side, at most 4096^2 = TABLE_ENTRIES
+        monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated"))
+        for step in (2.0 * math.pi / 4095.5, 1e-300, 0.0, -0.01, math.inf):
+            with pytest.raises(InputError, match="Kutlu grid side"):
+                kutlu_zero_scan(step)
+
     def test_zero_set_symmetric(self):
         scan = kutlu_zero_scan(0.02)
         locs = {(round(t1, 4), round(t2, 4)) for t1, t2 in scan.zero_locations}
@@ -107,6 +114,7 @@ class TestInfScan:
             one_period_floor(Fraction(3, 2), 1e-12)
         # at the cap both still scan; one point past it, neither calls the CF
         monkeypatch.setattr(impossibility, "MAX_GRID_POINTS", 1001)
+        monkeypatch.setattr(charfn, "MAX_GRID_POINTS", 1001)
         inf_scan(SQRT2, [10.0], 0.01)                       # floor(10/0.01) + 1 points
         one_period_floor(Fraction(3, 2), 4.0 * math.pi / 1000)  # 1000 cells + 1
         calls = []
@@ -117,6 +125,42 @@ class TestInfScan:
         with pytest.raises(InputError):
             one_period_floor(Fraction(3, 2), 4.0 * math.pi / 1001)
         assert calls == []
+
+    def test_phase_past_1e8_refused_before_scanning(self, monkeypatch):
+        # three_point_cf is accurate while |alpha*t| <= 1e8; over one period
+        # 2*pi*q of alpha = p/q, alpha*t reaches 2*pi*p
+        calls = []
+        monkeypatch.setattr(impossibility, "three_point_cf",
+                            lambda alpha, t: calls.append(t) or np.ones(np.shape(t)))
+        inf_scan(1e5, [1e3], 1.0)
+        one_period_floor(Fraction(15_000_000, 7), 100.0)
+        n = len(calls)
+        with pytest.raises(InputError, match="exceeds 1e8"):
+            inf_scan(1e5, [1e3, 1.001e3], 1.0)
+        with pytest.raises(InputError, match="exceeds 1e8"):
+            inf_scan(1e300, [100.0], 0.01)
+        with pytest.raises(InputError, match="exceeds 1e8"):
+            one_period_floor(Fraction(16_000_000, 7), 100.0)
+        with pytest.raises(InputError, match="exceeds 1e8"):
+            one_period_floor(Fraction(1e300), 0.01)
+        assert len(calls) == n
+
+    def test_floor_scans_exactly_one_period(self, monkeypatch):
+        # at step 0.05 the period 2*pi*118 has n = 14829 cells, and
+        # period/(period/n) rounds up to n + 1: a recount of the cells
+        # would scan one point past the period
+        frac, step = Fraction(119, 118), 0.05
+        period = rational_cf_period(frac)
+        n = math.ceil(period / step)
+        assert math.ceil(period / (period / n)) == n + 1
+        grids = []
+        cf = impossibility.three_point_cf
+        monkeypatch.setattr(impossibility, "three_point_cf",
+                            lambda alpha, t: grids.append(np.asarray(t)) or cf(alpha, t))
+        one_period_floor(frac, step)
+        # one block: the first call is the whole grid, the rest polish
+        assert grids[0].size == n + 1
+        assert grids[0][-1] == pytest.approx(period, rel=1e-15)
 
     def test_minima_non_increasing_any_alpha(self):
         for alpha in (SQRT2, 0.7, 2.25):

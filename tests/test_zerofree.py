@@ -208,6 +208,14 @@ class TestSelectDelta:
         sel = select_delta(fair_bernoulli, 0.0, 0.5)
         assert sel.certificate.min_modulus > 0.0
 
+    def test_root_grid_past_the_cap_is_unverifiable(self, monkeypatch, uniform01):
+        # the root-scan grid is held whole, at most 4*BLOCK_ENTRIES points
+        monkeypatch.setattr(zerofree, "BLOCK_ENTRIES", 4)
+        monkeypatch.setattr(CharFn, "eval_grid", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(SelectionUnverifiableError,
+                           match="root-scan grid needs 32 grid points, above the cap of 16"):
+            select_delta(uniform01, 0.0, 0.5)
+
     def test_tau_validation(self, skewed_two_atom):
         with pytest.raises(InputError):
             select_delta(skewed_two_atom, 0.0, 1.5)
@@ -422,6 +430,16 @@ class TestLatticeCertificate:
         for law in (uniform01, mix(0.5, skewed_two_atom, uniform01)):
             with pytest.raises(LawShapeError):
                 lattice_certificate(CharFn(law))
+
+    def test_off_table_grid_capped_before_it_is_read(self, monkeypatch):
+        # step pi/1600 over [0, pi]: 1600 cells, 1601 points
+        law = law_from_atoms([(0.0, 0.5), (1.0, 0.25), (200.0, 0.25)])
+        monkeypatch.setattr(charfn, "MAX_GRID_POINTS", 1601)
+        assert lattice_certificate(CharFn(law)).window_T == pytest.approx(math.pi)
+        monkeypatch.setattr(charfn, "MAX_GRID_POINTS", 1600)
+        monkeypatch.setattr(CharFn, "__call__", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(InputError, match="chord grid needs 1601 grid points"):
+            lattice_certificate(CharFn(law))
 
 
 def direct_cf(law, ts):
