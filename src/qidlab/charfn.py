@@ -16,9 +16,10 @@ rounding at every t. A point then costs a Horner step of order M in
 its offset from the nearest node, whatever the number of terms, and
 grid scans and pointwise polish share the table. The atom table is
 built once per CharFn, the node table once per DensityLaw and shared
-by every CharFn over it. Atoms off a lattice, or on a lattice whose
-coefficient array would be much longer than the atom list, keep the
-dense exp(itx) product.
+by every CharFn over it; DiscreteLaw.lattice_fit gives the atoms'
+lattice and lattice_coeffs its coefficients. Atoms off a lattice, or
+on a lattice whose coefficient array would be much longer than the
+atom list, keep the dense exp(itx) product.
 
 The same rows prove a floor: on the cell around each node the Taylor
 polynomial, less its first-order part, moves |P| by at most the sum of
@@ -52,7 +53,7 @@ import numpy as np
 from . import config
 from ._fft import (BLOCK_ENTRIES, FLOOR_LEVELS, MAX_GRID_POINTS, TaylorTable, _cell_bounds,
                    grid_cells)
-from .dist import DiscreteLaw, Law
+from .dist import Law
 from .errors import (IdenticallyZeroImagError, InputError, LawShapeError,
                      SpectralExtractionError)
 
@@ -123,9 +124,10 @@ class CharFn:
         self._w = law.discrete_weight
         self._locs = self._lattice = None
         if law.discrete is not None:
-            self._locs = law.discrete.locations
-            self._masses = law.discrete.masses
-            self._lattice = _lattice_coeffs(law.discrete)
+            disc, fit = law.discrete, law.discrete.lattice_fit
+            self._locs, self._masses = disc.locations, disc.masses
+            if fit and fit.offset <= _LATTICE_FIT_ULPS * np.spacing(np.max(np.abs(self._locs))):
+                self._lattice = disc.lattice_coeffs(LATTICE_FILL_MAX * self._locs.size)
         if law.continuous is not None:
             d = law.continuous
             self._nodes = d.nodes
@@ -135,7 +137,8 @@ class CharFn:
 
     @cached_property
     def _atom_table(self) -> TaylorTable:
-        return TaylorTable(*self._lattice)
+        fit = self.law.discrete.lattice_fit
+        return TaylorTable(fit.a, fit.b, self._lattice)
 
     @property
     def is_lattice_table(self) -> bool:
@@ -185,7 +188,7 @@ class CharFn:
         law with its atoms at their stored locations. With u = 2^-53 it
         adds, each part weighted by its share of the law:
           - for a Taylor table TaylorTable.allowance, and for lattice
-            atoms T times their misfit (_lattice_misfit), as a move of d
+            atoms T times their LatticeFit.misfit, as a move of d
             changes exp(itx) by at most |t|*d;
           - for dense atoms (n + 4 + T*max|x|) u times their mass: t*x
             rounds by |tx| u, exp adds 2u and the sum of n products n u;
@@ -201,7 +204,7 @@ class CharFn:
                 xmax = float(np.max(np.abs(self._locs)))
                 part = (self._locs.size + 4.0 + T * xmax) * _U * float(np.sum(self._masses))
             else:
-                part = self._atom_table.allowance(T) + T * _lattice_misfit(self.law.discrete)
+                part = self._atom_table.allowance(T) + T * self.law.discrete.lattice_fit.misfit
             out += self._w * part
         if self._nodes is not None:
             d = self.law.continuous
@@ -219,23 +222,6 @@ def _blocked(t: np.ndarray, part, width: int) -> np.ndarray:
     for lo in range(0, t.size, rows):
         out[lo:lo + rows] = part(t[lo:lo + rows])
     return out
-
-
-def _lattice_coeffs(disc: DiscreteLaw) -> tuple[float, float, np.ndarray] | None:
-    """(a, b, c) with the atom masses as dense coefficients c[k] of
-    exp(it(a + bk)), or None when the atoms belong on the dense path:
-    not a lattice, more than LATTICE_FILL_MAX terms per atom, or a fit
-    off the locations by more than _LATTICE_FIT_ULPS ulps."""
-    fit = disc.lattice_fit
-    if fit is None:
-        return None
-    a, b, ks = fit
-    if ks[-1] + 1 > LATTICE_FILL_MAX * ks.size:
-        return None
-    locs = disc.locations
-    if np.max(np.abs(locs - (a + b * ks))) > _LATTICE_FIT_ULPS * np.spacing(np.max(np.abs(locs))):
-        return None
-    return a, b, np.bincount(ks, weights=disc.masses)
 
 
 def parabolic_polish(fn, a, b, c, fa, fb, fc) -> tuple[np.ndarray, np.ndarray]:
@@ -346,16 +332,6 @@ def min_modulus_scan(f, T: float, step: float) -> ZeroFreeCertificate:
                                min_modulus=best_v, argmin_t=best_t)
 
 
-def _lattice_misfit(disc: DiscreteLaw) -> float:
-    """Largest distance of an atom from its point a + b*k of lattice_fit,
-    which the Taylor table sums, plus two ulps of the largest of
-    |location| and b*k for the rounding of a + b*k."""
-    a, b, ks = disc.lattice_fit
-    locs = disc.locations
-    scale = max(float(np.max(np.abs(locs))), b * float(ks[-1]))
-    return float(np.max(np.abs(locs - (a + b * ks)))) + 2.0 * float(np.spacing(scale))
-
-
 def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
     """Proven certificate of a pure lattice law on a + b*Z. Off the
     Taylor table it is chord_certificate over [0, pi/b], rounded up to
@@ -365,27 +341,23 @@ def lattice_certificate(f: CharFn) -> ZeroFreeCertificate:
     config.CERTIFICATE_FLOOR: window 2*pi/b, one period of |f|, and
     step 2*pi/(b*N) over the table's N nodes; min_modulus is the least
     modulus evaluated there, argmin_t its |t| folded into [0, pi/b]. The
-    table sums the masses at a + b*k, within _LATTICE_FIT_ULPS of the
-    atoms, and a misfit of d moves |f| by at most |t|*d, so window_T
-    times _lattice_misfit comes off lower_bound. A point mass (b = 0)
-    has |f| = 1 everywhere and takes the window of b = 1.
+    table sums the masses at a + b*k, so window_T times LatticeFit.misfit
+    comes off lower_bound. A point mass takes LatticeFit.span = 1.
     """
     if not f.is_lattice_table:
         disc = f.law.discrete
         if not f.law.is_pure_discrete or disc.locations.size < 2:
             raise LawShapeError("lattice_certificate needs a pure lattice law")
         step = math.pi / (8.0 * float(disc.locations[-1] - disc.locations[0]))
-        n = grid_cells(math.pi / disc.lattice_params()[1], step, MAX_GRID_POINTS, "chord grid") + 1
+        n = grid_cells(math.pi / disc.lattice_params().b, step, MAX_GRID_POINTS, "chord grid") + 1
         return chord_certificate(f, step, n, f.law, f.allowance(step * (n - 1)))
-    b = f._lattice[1]
+    fit = f.law.discrete.lattice_fit
     table = f._atom_table
     lower, least, theta = table.floor(config.CERTIFICATE_FLOOR)
-    span = b if b > 0 else 1.0
-    window = 2.0 * math.pi / span
-    return ZeroFreeCertificate(window_T=window, grid_step=window / table.n_fft,
+    return ZeroFreeCertificate(window_T=fit.period, grid_step=fit.period / table.n_fft,
                                min_modulus=least,
-                               argmin_t=min(theta, 2.0 * math.pi - theta) / span,
-                               lower_bound=lower - window * _lattice_misfit(f.law.discrete))
+                               argmin_t=min(theta, 2.0 * math.pi - theta) / fit.span,
+                               lower_bound=lower - fit.period * fit.misfit)
 
 
 def _centred_moments(law: Law) -> tuple[float, float]:

@@ -5,7 +5,8 @@ A law is a convex mixture of a discrete part (weighted atoms) and an
 absolutely continuous part (nonnegative samples on a uniform grid).
 Atoms are stored as two arrays, built with
 ``DiscreteLaw(locations, masses)``; ``Atom`` records exist only as the
-``DiscreteLaw.atoms`` view.
+``DiscreteLaw.atoms`` view. ``DiscreteLaw.lattice_fit`` is the one place
+that decides the lattice of the atoms, its misfit and the CF period.
 Density samples are read as the piecewise-linear interpolant vanishing
 at both grid ends, which makes masses, convolution supports, L1
 distances and characteristic functions of represented laws computable
@@ -84,9 +85,8 @@ class DiscreteLaw:
         return tuple(map(Atom, self.locations.tolist(), self.masses.tolist()))
 
     @cached_property
-    def lattice_fit(self) -> tuple[float, float, np.ndarray] | None:
-        """The support as a + b*ks, fitted once: (a, b, ks) with ks the
-        increasing integer indices (ks[0] = 0), or None when no span
+    def lattice_fit(self) -> LatticeFit | None:
+        """The support as a + b*ks, fitted once, or None when no span
         reproduces every location within config.LATTICE_REL_TOL of the
         support width.
 
@@ -94,29 +94,53 @@ class DiscreteLaw:
         refined by least squares. A degenerate law has b = 0.
         """
         locs = self.locations
-        if len(locs) == 1:
-            return float(locs[0]), 0.0, np.zeros(1, dtype=np.int64)
-        diffs = locs[1:] - locs[0]
-        tol = config.LATTICE_REL_TOL * float(diffs[-1])
-        g = _approx_gcd(diffs, tol)
-        if g <= 0 or g < (diffs[0] * 1e-6):
-            return None
-        ks = np.round(diffs / g)
-        if np.any(np.abs(diffs - ks * g) > tol):
-            return None
-        # least-squares refinement of the span through the fitted indices
-        b_fit = float(np.dot(ks, diffs) / np.dot(ks, ks))
-        ks = np.concatenate(([0], ks.astype(np.int64)))
+        a, b, ks = float(locs[0]), 0.0, np.zeros(1, dtype=np.int64)
+        if len(locs) > 1:
+            diffs = locs[1:] - locs[0]
+            tol = config.LATTICE_REL_TOL * float(diffs[-1])
+            g = _approx_gcd(diffs, tol)
+            if g <= 0 or g < (diffs[0] * 1e-6):
+                return None
+            ks = np.round(diffs / g)
+            if np.any(np.abs(diffs - ks * g) > tol):
+                return None
+            # least-squares refinement of the span through the fitted indices
+            b = float(np.dot(ks, diffs) / np.dot(ks, ks))
+            ks = np.concatenate(([0], ks.astype(np.int64)))
         ks.setflags(write=False)
-        return float(locs[0]), b_fit, ks
+        offset = float(np.max(np.abs(locs - (a + b * ks))))
+        scale = max(float(np.max(np.abs(locs))), b * float(ks[-1]))
+        span = b if b > 0 else 1.0
+        return LatticeFit(a, b, ks, offset, offset + 2.0 * float(np.spacing(scale)),
+                          span, 2.0 * math.pi / span)
 
-    def lattice_params(self) -> tuple[float, float]:
-        """(a, b) of lattice_fit. Raises NotLatticeError when the
-        support is not a lattice."""
+    def lattice_params(self) -> LatticeFit:
+        """lattice_fit; NotLatticeError when the support is not a lattice."""
         fit = self.lattice_fit
         if fit is None:
             raise NotLatticeError("no lattice span fits the support")
-        return fit[0], fit[1]
+        return fit
+
+    def lattice_coeffs(self, cap: int) -> np.ndarray | None:
+        """The masses as dense coefficients c[k] of a + b*k, zero at
+        lattice gaps, or None, before any is built, past cap of them."""
+        ks = self.lattice_params().ks
+        return np.bincount(ks, weights=self.masses) if ks[-1] < cap else None
+
+
+class LatticeFit(NamedTuple):
+    """Support a + b*ks, ks[0] = 0, b = 0 for a point mass; span is b, or 1
+    for a point mass (|f| = 1), and period = 2*pi/span one period of |f|.
+    offset is max |x - (a + b*k)|; misfit adds two ulps of max(|x|, b*ks[-1]),
+    so a CF summed at a + b*k is off by at most |t|*misfit."""
+
+    a: float
+    b: float
+    ks: np.ndarray
+    offset: float
+    misfit: float
+    span: float
+    period: float
 
 
 def _approx_gcd(diffs: np.ndarray, tol: float) -> float:
@@ -596,16 +620,17 @@ def _convolve_atoms_density(disc: DiscreteLaw, d: DensityLaw, anchor: float) -> 
     between the two adjacent node offsets; mass is preserved exactly and
     the support widens by at most one grid step.
     """
-    h = d.grid_step
+    h, n = d.grid_step, d.samples.size
     locs, masses = disc.locations, disc.masses
     rel = locs - anchor
+    grid_cells(float(rel[-1] - rel[0]) / h + n + 2, 1.0, TABLE_ENTRIES, "atom copies")
+    grid_cells(max(-rel[0], rel[-1], h), h, 1 << 53, "atom offset grid")
     tol = _snap_tol(max(float(np.max(np.abs(locs))), abs(anchor)))
     k, on = _whole_steps(rel, h, tol)
     base = np.where(on, k, np.floor(rel / h)).astype(np.int64)
     frac = np.where(on, 0.0, rel / h - base)
     bmin = int(base.min())
     span = int(base.max()) - bmin + 1
-    n = d.samples.size
     acc = np.zeros(n + span + 1)
     for b, f, m in zip(base, frac, masses):
         off = b - bmin

@@ -101,8 +101,7 @@ def truncate_lattice(F: Law, eps: float) -> tuple[Law, int, int, float, float]:
     if locs.size < 2:
         raise LawShapeError("need at least two atoms (degenerate laws are "
                             "already representable exactly)")
-    F.discrete.lattice_params()  # NotLatticeError off a lattice
-    ks = F.discrete.lattice_fit[2]
+    ks = F.discrete.lattice_params().ks  # NotLatticeError off a lattice
     masses = F.discrete.masses
     below = np.concatenate(([0.0], np.cumsum(masses)[:-1]))
     above = np.concatenate((np.cumsum(masses[::-1])[::-1][1:], [0.0]))

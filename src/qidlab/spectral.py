@@ -21,7 +21,7 @@ from . import config
 from ._fft import TaylorTable
 from .charfn import BLOCK_ENTRIES, CharFn, _blocked, _track_branch
 from .dist import Law
-from .errors import InputError, LawShapeError
+from .errors import InputError, LawShapeError, SpectralExtractionError
 
 # weights below this are dropped from the atom list
 PRUNE_TOL = 1e-12
@@ -90,7 +90,8 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     the same FFT at K < |k| <= n/2 give the pair's tail_mass. The
     residual is the round-trip error on 4*max(256, 8K) nodes of one
     period, from two more inverse FFTs (_fft_residual). A K whose
-    max(256, 8K) exceeds BLOCK_ENTRIES is rejected before any FFT.
+    max(256, 8K) exceeds BLOCK_ENTRIES is rejected before any FFT; more
+    than BLOCK_ENTRIES/4 coefficients c raise SpectralExtractionError.
     """
     if K < 0:
         raise InputError("truncation order K must be nonnegative")
@@ -100,10 +101,11 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     if n_nodes > BLOCK_ENTRIES:
         raise InputError(f"truncation order K={K} needs max(256, 8K) = {n_nodes} nodes, "
                          f"above the limit of {BLOCK_ENTRIES} (K <= {BLOCK_ENTRIES // 8})")
-    a, b = F.discrete.lattice_params()
-    c = np.bincount(F.discrete.lattice_fit[2], weights=F.discrete.masses)
-    if b == 0.0:
-        b = 1.0  # degenerate law: span is conventional
+    fit = F.discrete.lattice_params()
+    c = F.discrete.lattice_coeffs(BLOCK_ENTRIES // 4)
+    if c is None:
+        raise SpectralExtractionError(f"not extractable: {fit.ks[-1] + 1} lattice coefficients, "
+                                      f"above the limit of {BLOCK_ENTRIES // 4} (4 nodes each)")
     vals, steps_log = _track_branch(c, 1 << (max(n_nodes, 4 * c.size) - 1).bit_length(),
                                     min_modulus_floor)
     n = vals.size
@@ -117,7 +119,8 @@ def lattice_spectral_pair(F: Law, K: int = 64,
     keep = np.abs(lams) > PRUNE_TOL
     ks, lams = idx[keep], lams[keep]
     tail = math.fsum(np.abs(coeff[K + 1:n - K].real))
-    return SpectralPair(drift_gamma=a + winding * b, lattice_a=a, lattice_b=b,
+    return SpectralPair(drift_gamma=fit.a + winding * fit.span, lattice_a=fit.a,
+                        lattice_b=fit.span,
                         signed_atoms=tuple(zip(ks.tolist(), lams.tolist())), truncation_K=K,
                         residual=_fft_residual(c, ks, lams, winding, 4 * n_nodes),
                         tail_mass=tail)

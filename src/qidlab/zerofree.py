@@ -75,11 +75,10 @@ def _scan_window(f0: CharFn, delta_hint: float,
     cuts the density window short).
     """
     F0 = f0.law
-    T_lattice = 0.0
-    T_density = 0.0
+    T_lattice = T_density = 0.0
     tail = None
     if F0.discrete is not None and F0.discrete.locations.size >= 2:
-        T_lattice = 2.0 * math.pi / F0.discrete.lattice_params()[1]
+        T_lattice = F0.discrete.lattice_params().period
     if F0.continuous is not None:
         coeff = (1.0 - delta_hint) * (1.0 - F0.discrete_weight)
         T_density = decay_window(f0, delta_hint / (2.0 * coeff))
@@ -144,10 +143,10 @@ def _fold_period(law: Law, gamma0: float) -> float | None:
     """2*pi/b when law is pure discrete on a + b*Z, b > 0, with gamma0
     on that lattice, so that f0(t) e^{-it*gamma0} has period 2*pi/b."""
     fit = law.discrete.lattice_fit if law.is_pure_discrete else None
-    if fit is not None and fit[1] > 0:
-        m = (gamma0 - fit[0]) / fit[1]
-        if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit[2][-1]:
-            return 2.0 * math.pi / fit[1]
+    if fit is not None and fit.b > 0:
+        m = (gamma0 - fit.a) / fit.b
+        if abs(m - round(m)) <= config.LATTICE_REL_TOL * fit.ks[-1]:
+            return fit.period
     return None
 
 

@@ -176,6 +176,7 @@ SWEEP = [
     ("approximate {fine} --mode abs --side minus --eps 0.05", 2, "kernel grid needs 2.5e+299"),
     ("approximate {fine} --mode mixture --eps 0.05", 3, "identically zero"),
     ("spectral-pair {wide}", 2, "pure lattice"),
+    ("spectral-pair {sparse}", 3, "10000001 lattice coefficients"),
     ("tv {fine} {wide}", 0, ""),
     ("tv {near} {far}", 0, ""),
     ("kutlu-scan --step 1e-300", 2, "Kutlu grid side needs 6.283e+300 grid points"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +71,9 @@ class TestTypes:
 
     def test_lattice_params(self):
         law = law_from_atoms([(0.5, 0.25), (1.5, 0.5), (3.5, 0.25)])
-        a, b = law.discrete.lattice_params()
-        assert a == 0.5
-        assert b == pytest.approx(1.0, abs=1e-12)
+        fit = law.discrete.lattice_params()
+        assert fit.a == 0.5
+        assert fit.b == pytest.approx(1.0, abs=1e-12)
         alpha = math.sqrt(2.0)
         bad = law_from_atoms([(1.0, 1 / 3), (alpha, 1 / 3), (1 + alpha, 1 / 3)])
         with pytest.raises(NotLatticeError):
@@ -106,8 +107,8 @@ class TestTypes:
                 slow = law_from_atoms(atoms, normalize=True).discrete.lattice_fit
             assert (fast is None) == (slow is None)
             if fast is not None:
-                assert fast[:2] == slow[:2] and np.array_equal(fast[2], slow[2])
-        assert law_from_atoms([(0.25 * k, 0.25) for k in (0, 2, 3, 7)]).discrete.lattice_fit[1] \
+                assert (fast.a, fast.b) == (slow.a, slow.b) and np.array_equal(fast.ks, slow.ks)
+        assert law_from_atoms([(0.25 * k, 0.25) for k in (0, 2, 3, 7)]).discrete.lattice_fit.b \
             == pytest.approx(0.25, abs=1e-15)
 
 
@@ -210,6 +211,19 @@ class TestConvolve:
         out = convolve(point_mass(2.5), fair_bernoulli)
         locs = [a.location for a in out.discrete.atoms]
         assert locs == [2.5, 3.5]
+
+    @pytest.mark.parametrize("atoms, said", [
+        ([(0.0, 0.5), (1e9, 0.5)], "atom copies needs 1.024e\\+12 grid points"),
+        ([(0.0, 0.5), (1e25, 0.5)], "atom copies needs 1.024e\\+28 grid points"),
+        ([(1e16, 1.0)], "atom offset grid needs 1.024e\\+19 grid points"),
+    ], ids=["1e9", "1e25", "one_atom_1e16"])
+    def test_far_atom_copies_refused_before_the_cast(self, atoms, said):
+        # copies of a 1024-cell density shifted over 2^10 steps per unit:
+        # counted, and the offsets bounded, before any int64 cast or array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=said):
+                convolve(law_from_atoms(atoms), uniform_density(0.0, 1.0))
 
     def test_binomial(self, fair_bernoulli):
         out = convolve(fair_bernoulli, fair_bernoulli)
@@ -412,6 +426,14 @@ class TestGridBudget:
         assert convolve(flat(51), flat(51)).continuous.samples.size == 101
         with pytest.raises(InputError, match="convolution grid needs 102 grid points"):
             convolve(flat(51), flat(52))
+
+    def test_atom_copies(self):
+        # atoms 0 and L shift copies of a 3-cell density over 4L + 6 cells
+        dens = law_from_density(0.0, 0.25, [0.0, 2.0, 2.0, 0.0])
+        assert convolve(law_from_atoms([(0.0, 0.5), (23.5, 0.5)]), dens).continuous \
+            .samples.size == 100
+        with pytest.raises(InputError, match="atom copies needs 102 grid points"):
+            convolve(law_from_atoms([(0.0, 0.5), (23.75, 0.5)]), dens)
 
     def test_far_apart_densities(self):
         # their finest common grid spans 4e9 steps: mixing them is refused,

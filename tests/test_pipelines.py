@@ -79,10 +79,10 @@ class TestTruncateLattice:
     def test_geometric_tail_relocation(self):
         geo = geometric_law()
         out, K1, K2, q1, q2 = truncate_lattice(geo, 0.1)
-        a, b = geo.discrete.lattice_params()
+        fit = geo.discrete.lattice_params()
         # boundary atoms at locations 1 and 5; right tail 2^-5
-        assert a + b * K1 == pytest.approx(1.0, abs=1e-9)
-        assert a + b * K2 == pytest.approx(5.0, abs=1e-9)
+        assert fit.a + fit.b * K1 == pytest.approx(1.0, abs=1e-9)
+        assert fit.a + fit.b * K2 == pytest.approx(5.0, abs=1e-9)
         assert q1 == 0.0
         assert q2 == pytest.approx(2.0 ** -5, abs=1e-12)
         value, _ = tv_distance(geo, out)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from qidlab import charfn
+from qidlab import charfn, spectral
 from qidlab.charfn import CharFn, _track_branch
 from qidlab.dist import convolve, law_from_atoms, point_mass
 from qidlab.errors import SpectralExtractionError
@@ -121,6 +121,37 @@ class TestExtraction:
         assert atoms[1] == pytest.approx(0.4, abs=1e-9)
         assert atoms[2] == pytest.approx(0.3, abs=1e-9)
         assert all(lam > -1e-12 for lam in atoms.values())
+
+
+class TestCoefficientBudget:
+    """More than BLOCK_ENTRIES/4 lattice coefficients need more than
+    BLOCK_ENTRIES branch nodes: refused before they are built."""
+
+    def test_sparse_law_refused_before_allocation(self, monkeypatch):
+        law = law_from_atoms([(0.0, 0.5), (1.0, 0.25), (1e7, 0.25)])
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("coefficients or FFT before the count")
+
+        monkeypatch.setattr(np, "bincount", no_alloc)
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, no_alloc)
+        t0 = time.perf_counter()
+        limit = charfn.BLOCK_ENTRIES // 4
+        with pytest.raises(SpectralExtractionError,
+                           match=f"10000001 lattice coefficients, above the limit of {limit} "):
+            lattice_spectral_pair(law)
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # limit 1024 nodes: 256 coefficients pass, 257 are refused
+        for module in (charfn, spectral):
+            monkeypatch.setattr(module, "BLOCK_ENTRIES", 1024)
+        masses = [(0.0, 0.6), (1.0, 0.3)]
+        pair = lattice_spectral_pair(law_from_atoms(masses + [(255.0, 0.1)]), K=64)
+        assert pair.lattice_b == 1.0 and pair.tail_mass > 0.0  # weights out to 255 and past K
+        with pytest.raises(SpectralExtractionError, match="257 lattice coefficients"):
+            lattice_spectral_pair(law_from_atoms(masses + [(256.0, 0.1)]), K=64)
 
 
 class TestTrackBranch:

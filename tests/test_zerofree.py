@@ -11,6 +11,7 @@ from qidlab.dist import (Law, density_from_callable, law_from_atoms, law_from_de
 from qidlab.errors import (InputError, LawShapeError, PipelineError,
                            SelectionUnverifiableError)
 from qidlab.pipelines import approximate_abs_cont, approximate_lattice, approximate_mixture
+from qidlab.spectral import lattice_spectral_pair
 from qidlab.zerofree import bad_delta_set, select_delta, _root_scan_step
 from conftest import case_1b_law, heavy_lattice_law
 
@@ -360,8 +361,23 @@ def sweep_law(n, seed):
 def oracle_min(law, n=1 << 18):
     """min |f| over n equispaced points of one period, from one FFT of
     the lattice coefficients: an upper bound on the true minimum."""
-    _, _, ks = law.discrete.lattice_fit
+    ks = law.discrete.lattice_fit.ks
     return float(np.min(np.abs(np.fft.fft(np.bincount(ks, weights=law.discrete.masses), n))))
+
+
+@pytest.mark.parametrize("law", [
+    point_mass(0.0), point_mass(2.5), mix(0.3, point_mass(-1.25), point_mass(-1.25)),
+    mix(0.6, point_mass(3.0), mix(0.5, point_mass(3.0), point_mass(3.0))),
+], ids=["at_0", "at_2.5", "mix", "nested_mix"])
+def test_point_mass_takes_span_one(law):
+    # |f| = 1 has every period: the certificate and the spectral pair take
+    # span 1, and no lattice fold applies to the root scan
+    assert law.discrete.locations.size == 1
+    assert lattice_certificate(CharFn(law)).window_T == 2.0 * math.pi
+    assert lattice_spectral_pair(law, K=8).lattice_b == 1.0
+    x = float(law.discrete.locations[0])
+    for gamma0 in (x, x + 1.0, x + 0.5):
+        assert zerofree._fold_period(law, gamma0) is None
 
 
 class TestLatticeCertificate:
@@ -412,8 +428,8 @@ class TestLatticeCertificate:
         # window_T times the misfit, never more than that and rounding
         law = law_from_atoms([(0.0, 0.3), (0.1, 0.3), (0.30000000000000004, 0.4)])
         cert = lattice_certificate(CharFn(law))
-        a, b, ks = law.discrete.lattice_fit
-        misfit = float(np.max(np.abs(law.discrete.locations - (a + b * ks))))
+        fit = law.discrete.lattice_fit
+        misfit = float(np.max(np.abs(law.discrete.locations - (fit.a + fit.b * fit.ks))))
         assert 0.0 < misfit
         table_lower = CharFn(law)._atom_table.floor(config.CERTIFICATE_FLOOR)[0]
         assert cert.lower_bound <= table_lower - cert.window_T * misfit
